@@ -11,6 +11,15 @@ shifted right by the difference between the shared exponent and their own
 exponent, then truncated to ``bm`` bits.  Truncation is the paper's default;
 nearest and stochastic rounding are provided for the FMAC baseline and for
 ablations.
+
+One kernel does the absmax / exponent / round / clip arithmetic for every
+entry point.  :func:`quantize_tensor` runs it on the operand in its own
+layout: groups run along ``axis`` as reshape views of the input, and the
+result is a new C-contiguous array.  :func:`encode_groups` and
+:func:`repro.bfp.bfp_encode_matrix` run it on their zero-padded
+``(..., num_groups, g)`` layout.  Stochastic rounding always draws in the
+moved, padded ``(..., num_groups, g)`` order, so one seeded stream gives
+the same values through every entry point.
 """
 
 from __future__ import annotations
@@ -103,16 +112,75 @@ class BFPBlock:
         ]
 
 
-def _drop_bits(scaled: np.ndarray, config: BFPConfig, rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Convert real-valued ``value / 2^(e_shared - bm)`` to integer mantissae."""
+def _group_max(a: np.ndarray, axis: int) -> np.ndarray:
+    """Max of ``a`` over ``axis``, keeping the axis.
+
+    Along the innermost axis numpy's reduce runs one short inner loop per
+    group.  For a power-of-two width, maxima of the even and odd members
+    halve every group at once in long strided loops instead.
+    """
+    width = a.shape[axis]
+    if axis != a.ndim - 1 or width & (width - 1):
+        return a.max(axis=axis, keepdims=True)
+    while a.shape[-1] > 1:
+        a = np.maximum(a[..., 0::2], a[..., 1::2])
+    return a
+
+
+def _round_groups(
+    x: np.ndarray,
+    out: np.ndarray,
+    axis: int,
+    config: BFPConfig,
+    noise: Optional[np.ndarray],
+) -> np.ndarray:
+    """Write the mantissae of ``x``'s groups into ``out``; return the exponents.
+
+    Each group runs along ``axis`` of the views ``x`` and ``out`` (every
+    other axis indexes groups); ``out`` must not overlap ``x``.  The
+    exponents keep ``axis`` with length 1, so ``np.ldexp(out, exps - bm)``
+    dequantises in place.  ``noise`` holds the uniform draws of stochastic
+    rounding in ``x``'s layout.
+    """
+    absmax = _group_max(np.abs(x, out=out), axis)
+    # frexp: |v| = frac * 2^e with frac in [0.5, 1), so every scaled
+    # magnitude is below 2^bm; +-0 gives e = 0.
+    exps = np.frexp(absmax)[1]
+    finite = np.isfinite(absmax).all()
+    # Scale the values by exponent arithmetic: forming 2^(bm - e) first
+    # overflows to inf for groups below about 2^(bm - 1023).
+    np.ldexp(x, config.bm - exps, out=out)
     if config.rounding == "truncate":
-        return np.trunc(scaled)
-    if config.rounding == "nearest":
-        return np.rint(scaled)
-    rng = resolve_rng(rng)
-    floor = np.floor(scaled)
-    frac = scaled - floor
-    return floor + (rng.random(scaled.shape) < frac)
+        np.trunc(out, out=out)
+    elif config.rounding == "nearest":
+        np.rint(out, out=out)
+    else:
+        floor = np.floor(out)
+        frac = np.subtract(out, floor, out=out)
+        np.add(floor, noise < frac, out=out)
+    # Truncation below 2^bm stays in range; rounding up can reach 2^bm, and
+    # a non-finite group max (an inf input maps to +-(2^bm - 1) / 2^bm)
+    # leaves every mantissa unbounded.
+    if config.rounding != "truncate" or not finite:
+        limit = float(config.mantissa_range)
+        np.clip(out, -limit, limit, out=out)
+    return exps
+
+
+def _encode_grouped(
+    grouped: np.ndarray,
+    config: BFPConfig,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer mantissae and exponents of the groups on the last axis of
+    ``grouped``, the zero-padded ``(..., num_groups, g)`` layout that
+    :func:`encode_groups` and :func:`repro.bfp.bfp_encode_matrix` return."""
+    noise = None
+    if config.rounding == "stochastic":
+        noise = resolve_rng(rng).random(grouped.shape)
+    mant = np.empty_like(grouped)
+    exps = _round_groups(grouped, mant, grouped.ndim - 1, config, noise)
+    return mant.astype(np.int64), exps[..., 0].astype(np.int64)
 
 
 def encode_groups(
@@ -133,23 +201,7 @@ def encode_groups(
     num_groups = max(1, -(-n // g))
     padded = np.zeros(num_groups * g, dtype=np.float64)
     padded[:n] = vec
-    grouped = padded.reshape(num_groups, g)
-
-    absmax = np.max(np.abs(grouped), axis=1)
-    # frexp: |v| = frac * 2^exp with frac in [0.5, 1) -> exponent = exp.
-    _, exps = np.frexp(absmax)
-    exps = exps.astype(np.int64)
-    exps[absmax == 0] = 0
-
-    # Scale each group by 2^(bm - e) via ldexp on the values themselves:
-    # forming the scale factor first would overflow to inf for groups in
-    # the subnormal range (bm - e > 1023) even though the product is tame.
-    shift = (config.bm - exps)[:, None].astype(np.int64)
-    mant = _drop_bits(np.ldexp(grouped, shift), config, rng)
-    # Stochastic/nearest rounding of the max-magnitude element may hit
-    # 2^bm; clamp to stay within bm+1 signed bits.
-    limit = float(config.mantissa_range)
-    mant = np.clip(mant, -limit, limit).astype(np.int64)
+    mant, exps = _encode_grouped(padded.reshape(num_groups, g), config, rng)
     return BFPBlock(mant, exps, config, n)
 
 
@@ -159,7 +211,13 @@ def decode_groups(
     """Inverse of :func:`encode_groups` (returns the padded flat vector)."""
     mant = np.asarray(mantissae, dtype=np.float64)
     exps = np.asarray(exponents, dtype=np.int64)
-    return (mant * np.ldexp(1.0, exps - config.bm)[:, None]).ravel()
+    return np.ldexp(mant, exps[:, None] - config.bm).ravel()
+
+
+def _split_axis(a: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """View of ``a`` with ``axis`` split into ``(groups, width)``."""
+    shape = a.shape[:axis] + (a.shape[axis] // width, width) + a.shape[axis + 1 :]
+    return a.reshape(shape)
 
 
 def quantize_tensor(
@@ -173,25 +231,42 @@ def quantize_tensor(
     This is the building block of the accuracy model: it reproduces exactly
     the value error a Mirage GEMM operand incurs, while keeping float64
     layout for the surrounding autograd code.
+
+    Groups of ``g`` consecutive elements run along ``axis`` in the input's
+    own layout; a last group shorter than ``g`` stands for one zero padded
+    to ``g``.  The input is never copied or modified: the result is a new
+    C-contiguous array of the input's shape.  Stochastic rounding draws
+    ``rng.random`` in the order of the moved, padded layout
+    ``(*other_axes, num_groups, g)``, so a seeded stream gives the values
+    of :func:`encode_groups` applied to each lane in turn.
     """
     arr = np.asarray(values, dtype=np.float64)
-    moved = np.moveaxis(arr, axis, -1)
-    lead_shape = moved.shape[:-1]
-    length = moved.shape[-1]
+    if not -arr.ndim <= axis < arr.ndim:
+        raise ValueError(f"axis {axis} is out of bounds for a {arr.ndim}-d array")
+    axis %= arr.ndim
+    length = arr.shape[axis]
     g = config.g
-    num_groups = max(1, -(-length // g))
-    padded = np.zeros(lead_shape + (num_groups * g,), dtype=np.float64)
-    padded[..., :length] = moved
-    grouped = padded.reshape(lead_shape + (num_groups, g))
-
-    absmax = np.max(np.abs(grouped), axis=-1)
-    _, exps = np.frexp(absmax)
-    exps = exps.astype(np.int64)
-    exps[absmax == 0] = 0
-    scale = np.ldexp(1.0, config.bm - exps)[..., None]
-    mant = _drop_bits(grouped * scale, config, rng)
-    limit = float(config.mantissa_range)
-    mant = np.clip(mant, -limit, limit)
-    deq = mant / scale
-    out = deq.reshape(lead_shape + (num_groups * g,))[..., :length]
-    return np.moveaxis(out, -1, axis)
+    noise = None
+    if config.rounding == "stochastic":
+        num_groups = max(1, -(-length // g))
+        lanes = arr.shape[:axis] + arr.shape[axis + 1 :]
+        draws = resolve_rng(rng).random(lanes + (num_groups * g,))
+        noise = np.moveaxis(draws, -1, axis)
+    out = np.empty(arr.shape)
+    # The full groups, then the ragged last group, each as one view.
+    full = length - length % g
+    for lo, hi in ((0, full), (full, length)):
+        if lo == hi:
+            continue
+        width = min(g, hi - lo)
+        index = (slice(None),) * axis + (slice(lo, hi),)
+        view = _split_axis(out[index], axis, width)
+        exps = _round_groups(
+            _split_axis(arr[index], axis, width),
+            view,
+            axis + 1,
+            config,
+            None if noise is None else _split_axis(noise[index], axis, width),
+        )
+        np.ldexp(view, exps - config.bm, out=view)
+    return out

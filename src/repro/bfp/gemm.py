@@ -24,8 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..determinism import resolve_rng
-from .format import BFPConfig, quantize_tensor
+from .format import BFPConfig, _encode_grouped, quantize_tensor
 
 __all__ = [
     "bfp_encode_matrix",
@@ -65,25 +64,7 @@ def bfp_encode_matrix(
     num_groups = max(1, -(-cols // g))
     padded = np.zeros((rows, num_groups * g), dtype=np.float64)
     padded[:, :cols] = mat
-    grouped = padded.reshape(rows, num_groups, g)
-
-    absmax = np.max(np.abs(grouped), axis=-1)
-    _, exps = np.frexp(absmax)
-    exps = exps.astype(np.int64)
-    exps[absmax == 0] = 0
-    scale = np.ldexp(1.0, config.bm - exps)[..., None]
-    if config.rounding == "truncate":
-        mant = np.trunc(grouped * scale)
-    elif config.rounding == "nearest":
-        mant = np.rint(grouped * scale)
-    else:
-        rng = resolve_rng(rng)
-        scaled = grouped * scale
-        floor = np.floor(scaled)
-        mant = floor + (rng.random(scaled.shape) < (scaled - floor))
-    limit = float(config.mantissa_range)
-    mant = np.clip(mant, -limit, limit).astype(np.int64)
-    return mant, exps
+    return _encode_grouped(padded.reshape(rows, num_groups, g), config, rng)
 
 
 def bfp_matmul_exact(

@@ -63,18 +63,6 @@ class _StaticOperandCache:
         return self._quantized
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    if grad.shape == tuple(shape):
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def quantized_matmul(
     a: Tensor,
     b: Tensor,
@@ -116,8 +104,8 @@ def quantized_matmul(
         a_for_b = quantizer.quantize_backward(a_data, axis=-2 if a_data.ndim > 1 else -1)
         at = np.swapaxes(a_for_b, -1, -2) if a_for_b.ndim > 1 else a_for_b
         gb = at @ g_for_b if a_for_b.ndim > 1 else np.outer(a_for_b, g_for_b)
-        a.accumulate(_unbroadcast(np.asarray(ga), a_data.shape))
-        b.accumulate(_unbroadcast(np.asarray(gb), b_data.shape))
+        a.accumulate(ga)
+        b.accumulate(gb)
 
     return Tensor.from_op(out_data, (a, b), backward)
 

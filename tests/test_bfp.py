@@ -16,6 +16,9 @@ from repro.bfp import (
     quantize_tensor,
 )
 
+# Any overflow or invalid cast inside a BFP kernel is a bug.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestBFPConfig:
     def test_valid(self):

@@ -73,6 +73,22 @@ class TestQuantizedMatmul:
         assert a.grad.shape == (6, 16)
         assert b.grad.shape == (3, 16, 10)
 
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((6, 16), (3, 16, 10)), ((2, 3, 16), (16, 4)), ((1, 3, 16), (2, 16, 4))],
+    )
+    def test_broadcast_grads_match_plain_matmul(self, a_shape, b_shape, rng):
+        """With identity transforms the grads equal ``Tensor.__matmul__``'s,
+        broadcast axes summed back to each operand's shape."""
+        ident = GemmQuantizer("identity", lambda x: x, lambda x: x)
+        a_data, b_data = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        a1, b1 = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        quantized_matmul(a1, b1, ident).sum().backward()
+        a2, b2 = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        (a2 @ b2).sum().backward()
+        np.testing.assert_array_equal(a1.grad, a2.grad)
+        np.testing.assert_array_equal(b1.grad, b2.grad)
+
 
 class TestQuantizedLinear:
     def test_none_quantizer_is_plain_linear(self, rng):
