@@ -10,19 +10,23 @@ autoregressive-decode latency model the token serving engine
 (:mod:`repro.serve.engine`) dispatches against:
 :func:`decode_step_latency` prices one iteration-level decode step (one
 token per running session, attention read over each session's KV
-context) and :func:`prefill_latency` prices the prompt pass that builds
-a session's KV state.
+context) and :func:`chunked_prefill_components` prices one slice of the
+prompt pass that builds a session's KV state (the whole prompt with no
+resident context is the monolithic pass).
+
+Each quantity is priced by one function returning its components
+(``total_s`` plus the phase-shifter ``reprogram_s`` share); the
+``*_latency`` functions beside them return that ``total_s``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .accelerator import MirageAccelerator
 from .area import mirage_footprint_area
-from .dataflow import MIRAGE_DATAFLOWS, schedule_opt2
-from .latency import mirage_gemm_components, mirage_latency_fn
+from .dataflow import MIRAGE_DATAFLOWS
+from .latency import mirage_gemm_components
 from .workloads import GemmShape, LayerShape, TrainingGemm, training_gemms, workload
 
 __all__ = [
@@ -31,13 +35,10 @@ __all__ = [
     "chunked_prefill_latency",
     "chunked_prefill_components",
     "decode_step_latency",
-    "decode_step_components",
     "inference_latency",
     "inference_latency_components",
     "inference_metrics",
-    "microbatch_latency",
     "per_request_latency",
-    "prefill_latency",
     "PUBLISHED_INFERENCE_ACCELERATORS",
     "table3_rows",
 ]
@@ -47,43 +48,21 @@ def _forward_gemms(layers: Sequence[LayerShape]) -> List[TrainingGemm]:
     return [tg for layer in layers for tg in training_gemms(layer) if tg.role == "fwd"]
 
 
-def inference_latency(
-    layers: Sequence[LayerShape],
-    accelerator: Optional[MirageAccelerator] = None,
-) -> float:
-    """Seconds for one forward pass (OPT2 dataflow over forward GEMMs).
-
-    An empty layer list (or one with no forward GEMMs) is rejected: a
-    silent 0.0 here used to propagate into serving dispatch as a
-    zero-length busy window, which reads as infinite throughput.
-    """
-    accelerator = accelerator or MirageAccelerator()
-    fn = mirage_latency_fn(accelerator.config)
-    gemms = _forward_gemms(layers)
-    if not gemms:
-        raise ValueError(
-            "layers contain no forward GEMMs to price (empty layer list?)"
-        )
-    total = 0.0
-    for tg in gemms:
-        total += min(fn(tg, df) for df in MIRAGE_DATAFLOWS)
-    return total
-
-
 def inference_latency_components(
     layers: Sequence[LayerShape],
     accelerator: Optional[MirageAccelerator] = None,
 ) -> Dict[str, float]:
-    """:func:`inference_latency`, split into reprogram vs stream time.
+    """Seconds for one forward pass, split into reprogram vs stream time.
 
-    ``total_s`` is **bit-identical** to :func:`inference_latency`: the
-    same per-GEMM min over dataflows, accumulated in the same order with
-    the same arithmetic (:func:`mirage_gemm_components` reproduces
-    :func:`mirage_gemm_latency` exactly; dataflow ties break the same
-    way, and tied totals are equal anyway).  ``reprogram_s`` sums each
-    chosen mapping's exact phase-shifter settle time; ``stream_s`` is
-    the residual ``total_s - reprogram_s`` — a reporting split, never
-    re-added when asserting exactness.
+    Each forward GEMM runs under its faster Mirage dataflow (OPT2; the
+    first listed wins a tie) and the chosen totals add in layer order.
+    ``reprogram_s`` sums each chosen mapping's exact phase-shifter
+    settle time; ``stream_s`` is the residual ``total_s - reprogram_s``
+    — a reporting split, never re-added when asserting exactness.
+
+    An empty layer list (or one with no forward GEMMs) is rejected: a
+    silent 0.0 here used to propagate into serving dispatch as a
+    zero-length busy window, which reads as infinite throughput.
     """
     accelerator = accelerator or MirageAccelerator()
     config = accelerator.config
@@ -109,6 +88,15 @@ def inference_latency_components(
     }
 
 
+def inference_latency(
+    layers: Sequence[LayerShape],
+    accelerator: Optional[MirageAccelerator] = None,
+) -> float:
+    """Seconds for one forward pass: the ``total_s`` of
+    :func:`inference_latency_components`."""
+    return inference_latency_components(layers, accelerator)["total_s"]
+
+
 def inference_metrics(
     name: str,
     batch: int = 16,
@@ -132,20 +120,6 @@ def inference_metrics(
     }
 
 
-def microbatch_latency(
-    layers: Sequence[LayerShape],
-    accelerator: Optional[MirageAccelerator] = None,
-) -> float:
-    """Seconds to serve one micro-batch whose size is baked into ``layers``.
-
-    Identical to :func:`inference_latency` (including the explicit
-    rejection of empty layer lists); the alias exists so serving code
-    reads as what it means (the batch dimension lives inside each
-    layer's ``GemmShape.n``, per the im2col convention).
-    """
-    return inference_latency(layers, accelerator)
-
-
 def per_request_latency(
     layers: Sequence[LayerShape],
     batch: int,
@@ -154,17 +128,16 @@ def per_request_latency(
     """Per-request latency accounting for a micro-batch of ``batch`` requests.
 
     ``layers`` must already be shaped at ``batch`` (their forward GEMMs
-    carry ``N = batch * spatial``).  Returns the batch service latency
-    and the amortized per-request share.  Comparing ``per_request_s``
-    across batch sizes exposes the effect dynamic micro-batching
-    (:mod:`repro.serve`) is built to exploit: weight-tile reprogramming
-    is paid per tile, not per streamed vector, so batching amortizes the
-    5 ns phase-shifter settles across requests.
+    carry ``N = batch * spatial``, per the im2col convention).  Returns
+    the batch service latency and the amortized per-request share.
+    Comparing ``per_request_s`` across batch sizes exposes the effect
+    dynamic micro-batching (:mod:`repro.serve`) is built to exploit:
+    weight-tile reprogramming is paid per tile, not per streamed vector,
+    so batching amortizes the 5 ns phase-shifter settles across requests.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    accelerator = accelerator or MirageAccelerator()
-    batch_s = microbatch_latency(layers, accelerator)
+    batch_s = inference_latency(layers, accelerator)
     per_request_s = batch_s / batch
     return {
         "batch": float(batch),
@@ -185,27 +158,6 @@ def _check_kv_spec(kv) -> None:
             raise ValueError(
                 f"kv.{attr} must be a positive int, got {value!r}"
             )
-
-
-def attention_token_latency(
-    kv,
-    context_len: int,
-    accelerator: Optional[MirageAccelerator] = None,
-) -> float:
-    """Seconds of attention work to decode **one token** of one session.
-
-    Per transformer layer and head, the new query reads its KV context:
-    a score GEMM ``(1, head_dim) @ (head_dim, L)`` and a context GEMM
-    ``(1, L) @ (L, head_dim)`` with ``L = context_len`` — the part of a
-    decode step that grows with the session's sequence length (the
-    token-parallel projections are priced separately by
-    :func:`decode_step_latency`).  All heads and layers ride in one GEMM
-    descriptor via ``count = num_layers * num_heads``, whose tiles the
-    latency model spreads across the ``num_arrays`` RNS-MMVMUs.
-    """
-    return inference_latency(
-        _decode_attention_layers(kv, context_len), accelerator
-    )
 
 
 def _decode_attention_layers(kv, context_len: int) -> List[LayerShape]:
@@ -232,14 +184,31 @@ def attention_token_components(
     context_len: int,
     accelerator: Optional[MirageAccelerator] = None,
 ) -> Dict[str, float]:
-    """:func:`attention_token_latency` split into reprogram vs stream.
+    """Attention work to decode **one token** of one session, by component.
 
-    ``total_s`` is bit-identical to :func:`attention_token_latency`
-    (same layer shapes through :func:`inference_latency_components`).
+    Per transformer layer and head, the new query reads its KV context:
+    a score GEMM ``(1, head_dim) @ (head_dim, L)`` and a context GEMM
+    ``(1, L) @ (L, head_dim)`` with ``L = context_len`` — the part of a
+    decode step that grows with the session's sequence length (the
+    token-parallel projections are priced separately by
+    :func:`decode_step_latency`).  All heads and layers ride in one GEMM
+    descriptor via ``count = num_layers * num_heads``, whose tiles the
+    latency model spreads across the ``num_arrays`` RNS-MMVMUs.  The
+    keys are those of :func:`inference_latency_components`.
     """
     return inference_latency_components(
         _decode_attention_layers(kv, context_len), accelerator
     )
+
+
+def attention_token_latency(
+    kv,
+    context_len: int,
+    accelerator: Optional[MirageAccelerator] = None,
+) -> float:
+    """Seconds of attention work to decode one token: the ``total_s`` of
+    :func:`attention_token_components`."""
+    return attention_token_components(kv, context_len, accelerator)["total_s"]
 
 
 def decode_step_latency(
@@ -253,52 +222,19 @@ def decode_step_latency(
     ``layers`` are the model's token-parallel GEMMs shaped at
     ``batch = len(context_lens)`` (one new token per running session);
     ``context_lens[i]`` is session *i*'s resident KV length, each adding
-    the per-session attention read of :func:`attention_token_latency`.
+    the per-session attention read of :func:`attention_token_components`.
     ``kv=None`` models a KV-free network (pure MLP surrogate): the step
     is just the batched token GEMMs.
 
+    Returns ``step_latency_s = token_parallel_s + attention_s``, its
+    ``per_token_s`` share and ``batch``, and each term's phase-shifter
+    settle time (``token_reprogram_s``, ``attention_reprogram_s``; the
+    streams are the residuals, see :func:`inference_latency_components`).
     The attention term sums in ``context_lens`` order with a per-``L``
-    memo, so a caller that memoises :func:`attention_token_latency` per
+    memo, so a caller that memoises the per-token attention price per
     distinct length and sums in the same order reproduces this number
-    bit-exactly — that is the serving engine's cross-check contract.
-    """
-    batch = len(context_lens)
-    if batch < 1:
-        raise ValueError("context_lens must name at least one session")
-    accelerator = accelerator or MirageAccelerator()
-    token_parallel_s = microbatch_latency(layers, accelerator)
-    attention_s = 0.0
-    if kv is not None:
-        per_len: Dict[int, float] = {}
-        for length in context_lens:
-            if length not in per_len:
-                per_len[length] = attention_token_latency(
-                    kv, length, accelerator
-                )
-            attention_s += per_len[length]
-    step_s = token_parallel_s + attention_s
-    return {
-        "batch": float(batch),
-        "token_parallel_s": token_parallel_s,
-        "attention_s": attention_s,
-        "step_latency_s": step_s,
-        "per_token_s": step_s / batch,
-    }
-
-
-def decode_step_components(
-    layers: Sequence[LayerShape],
-    context_lens: Sequence[int],
-    kv=None,
-    accelerator: Optional[MirageAccelerator] = None,
-) -> Dict[str, float]:
-    """:func:`decode_step_latency` with reprogram/stream attribution.
-
-    ``step_latency_s`` is bit-identical to the plain pricing: the token
-    GEMM total and the order-preserving memoised attention sum reproduce
-    the same floats, and the final add matches.  The ``*_reprogram_s``
-    fields attribute each part's phase-shifter settle time (streams are
-    the residuals; see :func:`inference_latency_components`).
+    bit-exactly — the engine's pricing and the hardware-attribution
+    profiler both do.
     """
     batch = len(context_lens)
     if batch < 1:
@@ -316,54 +252,16 @@ def decode_step_components(
                 )
             attention_s += per_len[length]["total_s"]
             attention_reprogram_s += per_len[length]["reprogram_s"]
+    step_s = token["total_s"] + attention_s
     return {
         "batch": float(batch),
         "token_parallel_s": token["total_s"],
         "token_reprogram_s": token["reprogram_s"],
         "attention_s": attention_s,
         "attention_reprogram_s": attention_reprogram_s,
-        "step_latency_s": token["total_s"] + attention_s,
+        "step_latency_s": step_s,
+        "per_token_s": step_s / batch,
     }
-
-
-def chunked_prefill_latency(
-    layers: Sequence[LayerShape],
-    chunk_len: int,
-    context_len: int = 0,
-    kv=None,
-    accelerator: Optional[MirageAccelerator] = None,
-) -> float:
-    """Seconds to prefill one ``chunk_len``-token slice of a prompt.
-
-    Chunked prefill splits a long prompt into slices interleaved with
-    running decode steps (bounding the TTFT jitter a monolithic prefill
-    inflicts on co-scheduled sessions).  ``context_len`` tokens of KV
-    are already resident — from earlier chunks *or* from a shared-prefix
-    cache hit — so the slice's cost is its token-parallel GEMMs
-    (``layers`` shaped at ``batch = chunk_len``) plus causal attention
-    of the chunk's queries over everything resident so far: per layer
-    and head a ``(Q, head_dim) @ (head_dim, C + Q)`` score GEMM and a
-    ``(Q, C + Q) @ (C + Q, head_dim)`` context GEMM.
-
-    ``chunk_len = 0`` — a fully cached slice — is **defined** as zero
-    seconds (no GEMMs stream; ``layers`` and ``kv`` are not consulted):
-    the scheduling step it rides in still happens, it just adds no
-    prefill time.  With ``context_len = 0`` and the whole prompt as one
-    chunk this reproduces :func:`prefill_latency` exactly, which is the
-    engine's chunked-step cross-check contract.
-    """
-    if chunk_len < 0:
-        raise ValueError(f"chunk_len must be >= 0, got {chunk_len}")
-    if context_len < 0:
-        raise ValueError(f"context_len must be >= 0, got {context_len}")
-    if chunk_len == 0:
-        return 0.0
-    accelerator = accelerator or MirageAccelerator()
-    total = microbatch_latency(layers, accelerator)
-    if kv is not None:
-        attn = _prefill_attention_layers(kv, chunk_len, context_len)
-        total += inference_latency(attn, accelerator)
-    return total
 
 
 def _prefill_attention_layers(
@@ -393,25 +291,39 @@ def chunked_prefill_components(
     kv=None,
     accelerator: Optional[MirageAccelerator] = None,
 ) -> Dict[str, float]:
-    """:func:`chunked_prefill_latency` with reprogram/stream attribution.
+    """Price one ``chunk_len``-token slice of a prompt, by component.
 
-    ``total_s`` is bit-identical to the plain pricing (same shapes, same
-    single add of the attention term); a ``chunk_len`` of zero returns
-    all-zero components, matching the defined-zero fully-cached slice.
+    Chunked prefill splits a long prompt into slices interleaved with
+    running decode steps (bounding the TTFT jitter a monolithic prefill
+    inflicts on co-scheduled sessions).  ``context_len`` tokens of KV
+    are already resident — from earlier chunks *or* from a shared-prefix
+    cache hit — so the slice's cost is its token-parallel GEMMs
+    (``layers`` shaped at ``batch = chunk_len``) plus causal attention
+    of the chunk's queries over everything resident so far: per layer
+    and head a ``(Q, head_dim) @ (head_dim, C + Q)`` score GEMM and a
+    ``(Q, C + Q) @ (C + Q, head_dim)`` context GEMM.  The whole prompt
+    as one chunk with ``context_len = 0`` is the monolithic prompt pass,
+    quadratic in the prompt length.
+
+    Returns ``total_s = gemm_s + attention_s`` and each term's
+    phase-shifter settle time (``gemm_reprogram_s``,
+    ``attention_reprogram_s``).  ``chunk_len = 0`` — a fully cached
+    slice — is **defined** as all-zero components (no GEMMs stream;
+    ``layers`` and ``kv`` are not consulted): the scheduling step it
+    rides in still happens, it just adds no prefill time.
     """
     if chunk_len < 0:
         raise ValueError(f"chunk_len must be >= 0, got {chunk_len}")
     if context_len < 0:
         raise ValueError(f"context_len must be >= 0, got {context_len}")
-    zero = {
-        "total_s": 0.0,
-        "gemm_s": 0.0,
-        "gemm_reprogram_s": 0.0,
-        "attention_s": 0.0,
-        "attention_reprogram_s": 0.0,
-    }
     if chunk_len == 0:
-        return zero
+        return {
+            "total_s": 0.0,
+            "gemm_s": 0.0,
+            "gemm_reprogram_s": 0.0,
+            "attention_s": 0.0,
+            "attention_reprogram_s": 0.0,
+        }
     accelerator = accelerator or MirageAccelerator()
     gemm = inference_latency_components(layers, accelerator)
     total = gemm["total_s"]
@@ -433,34 +345,18 @@ def chunked_prefill_components(
     }
 
 
-def prefill_latency(
+def chunked_prefill_latency(
     layers: Sequence[LayerShape],
-    prompt_len: int,
+    chunk_len: int,
+    context_len: int = 0,
     kv=None,
     accelerator: Optional[MirageAccelerator] = None,
 ) -> float:
-    """Seconds to run a session's prompt pass and build its KV state.
-
-    ``layers`` are the model's GEMMs shaped at ``batch = prompt_len``
-    (all prompt tokens stream token-parallel, which is why prefill is
-    throughput-bound while decode is latency-bound), plus the quadratic
-    attention over the prompt: per layer and head a
-    ``(P, head_dim) @ (head_dim, P)`` score GEMM and a
-    ``(P, P) @ (P, head_dim)`` context GEMM.
-
-    ``prompt_len = 0`` — every prompt token already resident from a
-    shared-prefix cache hit — is **defined** as zero seconds: no GEMM
-    streams, but the engine still spends a scheduling step admitting
-    the session (the step's cost is its decode batch, not the prefill).
-    Negative lengths raise.  Implemented as the single-chunk case of
-    :func:`chunked_prefill_latency` with no resident context, so the
-    two are bit-identical where they overlap.
-    """
-    if prompt_len < 0:
-        raise ValueError(f"prompt_len must be >= 0, got {prompt_len}")
-    return chunked_prefill_latency(
-        layers, prompt_len, context_len=0, kv=kv, accelerator=accelerator
-    )
+    """Seconds to prefill one prompt slice: the ``total_s`` of
+    :func:`chunked_prefill_components`."""
+    return chunked_prefill_components(
+        layers, chunk_len, context_len, kv, accelerator
+    )["total_s"]
 
 
 # Published numbers reproduced from Table III (reference constants; the

@@ -40,34 +40,14 @@ def _ceil_div(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # Mirage
 # ----------------------------------------------------------------------
-def mirage_gemm_latency(
-    gemm: GemmShape, config: MirageConfig, dataflow: str = "DF1"
-) -> float:
-    """Seconds to run one GEMM on Mirage under DF1 or DF2.
-
-    Tiles of the stationary operand are distributed over the
-    ``num_arrays`` RNS-MMVMUs; each costs one reprogram plus one cycle per
-    streamed vector.
-    """
-    if dataflow not in MIRAGE_DATAFLOWS:
-        raise ValueError(
-            f"Mirage supports {MIRAGE_DATAFLOWS} (DF3 would need per-cycle "
-            f"phase-shifter updates); got {dataflow!r}"
-        )
-    stationary = "first" if dataflow == "DF1" else "second"
-    mapping = map_gemm(gemm, config.v, config.g, stationary)
-    rounds = _ceil_div(mapping.tiles, config.num_arrays)
-    per_tile = config.reprogram_time_s + mapping.stream_len * config.cycle_time_s
-    return rounds * per_tile
-
-
 def mirage_gemm_components(
     gemm: GemmShape, config: MirageConfig, dataflow: str = "DF1"
 ) -> Dict[str, float]:
-    """Split one Mirage GEMM's latency into its physical components.
+    """Seconds to run one GEMM on Mirage under DF1 or DF2, by component.
 
-    Returns ``total_s`` (**bit-identical** to
-    :func:`mirage_gemm_latency` — same mapping, same arithmetic),
+    Tiles of the stationary operand are distributed over the
+    ``num_arrays`` RNS-MMVMUs; each round costs one reprogram plus one
+    cycle per streamed vector.  Returns ``total_s``, ``rounds``,
     ``reprogram_s`` (phase-shifter settles: ``rounds * reprogram_time``,
     exact by construction) and ``stream_s`` defined as the residual
     ``total_s - reprogram_s``.  The residual convention matters for the
@@ -77,7 +57,8 @@ def mirage_gemm_components(
     """
     if dataflow not in MIRAGE_DATAFLOWS:
         raise ValueError(
-            f"Mirage supports {MIRAGE_DATAFLOWS}; got {dataflow!r}"
+            f"Mirage supports {MIRAGE_DATAFLOWS} (DF3 would need per-cycle "
+            f"phase-shifter updates); got {dataflow!r}"
         )
     stationary = "first" if dataflow == "DF1" else "second"
     mapping = map_gemm(gemm, config.v, config.g, stationary)
@@ -91,6 +72,14 @@ def mirage_gemm_components(
         "stream_s": total - reprogram,
         "rounds": float(rounds),
     }
+
+
+def mirage_gemm_latency(
+    gemm: GemmShape, config: MirageConfig, dataflow: str = "DF1"
+) -> float:
+    """Seconds to run one GEMM on Mirage: the ``total_s`` of
+    :func:`mirage_gemm_components`."""
+    return mirage_gemm_components(gemm, config, dataflow)["total_s"]
 
 
 def mirage_latency_fn(config: MirageConfig):

@@ -6,13 +6,14 @@ dynamic micro-batching into weight-programmed batched GEMM streams,
 executor pools sharding models (and replicas of hot models) across
 photonic cores with SLO-driven replica autoscaling, synthetic traffic
 scenarios on a deterministic simulated clock, and telemetry (including
-per-priority-class SLO attainment) cross-checked against the analytic
+per-priority-class SLO attainment) whose every busy interval the
+attribution profiler reprices bit-for-bit from the analytic
 ``repro.arch`` latency model.
 
 Architecture
 ------------
 Two execution models share the same substrate (clock, traffic, pool,
-telemetry cross-check discipline):
+and one repricer of their telemetry, the attribution profiler):
 
 * **Request-level** (:class:`ServingRuntime`) — one-shot forward passes.
   Arrivals enter the bounded :class:`AdmissionQueue` (per model *and*
@@ -53,7 +54,7 @@ telemetry cross-check discipline):
       ExecutorPool worker ── one batched GEMM stream per decode step
           (functional surrogate recurrence: per-token outputs bit-exact
           vs batch-1), clock advanced by arch.inference's
-          decode_step_latency / chunked_prefill_latency; EngineTelemetry
+          decode-step / chunked-prefill pricing; EngineTelemetry
           scores TTFT (+jitter), TPOT, tokens/s, KV occupancy, prefix
           hit rate / cached-token fraction / prefill tokens saved, and
           per-class TTFT SLO.
@@ -124,9 +125,10 @@ wires the whole plane through pool, batcher, monitor and telemetry::
                     ├─ HardwareAttributionProfiler  splits every
                     │     recorded busy interval into the analytic
                     │     model's reprogram/stream/attention components
-                    │     (flame-graph rollups); the serving
-                    │     cross-checks live inside it as bit-exactness
-                    │     assertions
+                    │     (flame-graph rollups); the only code that
+                    │     reprices a finished run: strict, it asserts
+                    │     bit-exactness; non-strict, it fills both
+                    │     reports' analytic_consistency
                     └─ SLOTracker       multi-window error-budget
                           burn-rate monitors per class/tenant, surfaced
                           by (not acted on by) the autoscaler

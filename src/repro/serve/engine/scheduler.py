@@ -55,15 +55,17 @@ from ...arch.accelerator import MirageAccelerator
 from ...arch.inference import (
     attention_token_latency,
     chunked_prefill_latency,
-    decode_step_latency,
+    decode_step_latency,  # no call here: bound for perfbench/tracing.py
 )
 from ...arch.memory import MemorySystemModel
 from ...core.pipeline import PhotonicExecutor
 from ..clock import SimulatedClock, time_at_or_before
 from ..faults import FaultInjector, FaultKind, FaultPlan, FleetMonitor, HealthPolicy
+from ..observability.profiler import HardwareAttributionProfiler
 from ..pool import ExecutorPool
 from ..request import RequestStatus
-from ..runtime import ModelProfile, ServiceModel, model_layer_shapes
+from ..runtime import ModelProfile, ServiceModel
+from ..shapes import model_layer_shapes
 from ..telemetry import EngineTelemetry
 from ..traffic import Scenario
 from .kvcache import KVBlockManager
@@ -90,9 +92,9 @@ class DecodeServiceModel(ServiceModel):
     attention read per (model, context_len) and the prefill chunk per
     (model, chunk_len, resident_context).  All reduce to
     ``arch.inference`` calls, and the accumulation order mirrors
-    :func:`decode_step_latency` / :func:`chunked_prefill_latency`
-    exactly, so the telemetry cross-check reproduces every recorded
-    step latency bit-for-bit from scratch.
+    :func:`~repro.arch.inference.decode_step_latency`, so the
+    :class:`~repro.serve.observability.HardwareAttributionProfiler`
+    reproduces every recorded step latency bit-for-bit from scratch.
     """
 
     def __init__(self, accelerator: Optional[MirageAccelerator] = None):
@@ -104,13 +106,13 @@ class DecodeServiceModel(ServiceModel):
     def register_decode(self, profile: DecodeModelProfile) -> None:
         self.register(ModelProfile(profile.name, profile.model))
         self._kv[profile.name] = profile.kv
-        for key in [k for k in self._attn_cache if k[0] == profile.name]:
-            del self._attn_cache[key]
-        for key in [k for k in self._chunk_cache if k[0] == profile.name]:
-            del self._chunk_cache[key]
 
-    def kv_spec(self, model: str):
-        return self._kv[model]
+    def _invalidate(self, model: str) -> None:
+        super()._invalidate(model)
+        for key in [k for k in self._attn_cache if k[0] == model]:
+            del self._attn_cache[key]
+        for key in [k for k in self._chunk_cache if k[0] == model]:
+            del self._chunk_cache[key]
 
     def attention_latency(self, model: str, context_len: int) -> float:
         key = (model, context_len)
@@ -156,10 +158,6 @@ class DecodeServiceModel(ServiceModel):
                     self.accelerator,
                 )
         return self._chunk_cache[key]
-
-    def prefill(self, model: str, prompt_len: int) -> float:
-        """Monolithic prompt pass — the single-chunk, no-context case."""
-        return self.chunked_prefill(model, prompt_len, 0)
 
 
 @dataclass(frozen=True)
@@ -1121,13 +1119,11 @@ class TokenServingEngine:
     def report(self, scenario: Scenario) -> Dict[str, object]:
         """Full engine report with the analytic-model cross-check.
 
-        Every recorded step latency is re-derived from scratch through
-        ``arch.inference`` (:func:`decode_step_latency` /
-        :func:`chunked_prefill_latency`), bypassing the engine's memos —
-        drift between dispatch accounting and the hardware model shows
-        up as a nonzero ``max_abs_error_s``.  The check covers chunked
-        steps: each recorded (resident_context, chunk_len) pair reprices
-        independently.
+        ``analytic_consistency`` reprices every recorded step from
+        scratch with a non-strict :class:`HardwareAttributionProfiler`
+        (bypassing the engine's memos), chunked steps included: drift
+        between dispatch accounting and the hardware model shows up as a
+        nonzero ``max_abs_error_s`` instead of an exception.
         """
         horizon = max(scenario.duration_s, self.telemetry.makespan())
         out = self.telemetry.summary(horizon, ttft_slo_s=self.profile.ttft_slo_s)
@@ -1136,36 +1132,13 @@ class TokenServingEngine:
         out["kv_manager"] = self.kv.stats()
         out["workers"] = self.pool.worker_stats()
         out["programmed_cache"] = self.pool.cache_stats()
-
-        accelerator = self.service.accelerator
-        kv_spec = self.profile.kv
-        shape_cache: Dict[int, list] = {}
-
-        def shapes_at(batch: int):
-            if batch not in shape_cache:
-                shape_cache[batch] = model_layer_shapes(
-                    self.profile.name, self.profile.model, batch
-                )
-            return shape_cache[batch]
-
-        def step_fn(model, context_lens, prefill_chunks):
-            total = 0.0
-            if context_lens:
-                total += decode_step_latency(
-                    shapes_at(len(context_lens)),
-                    context_lens,
-                    kv_spec,
-                    accelerator,
-                )["step_latency_s"]
-            for ctx, chunk in prefill_chunks:
-                total += chunked_prefill_latency(
-                    shapes_at(chunk), chunk, ctx, kv_spec, accelerator
-                )
-            return total
-
-        out["analytic_consistency"] = self.telemetry.cross_check_decode_model(
-            step_fn
-        )
+        check = HardwareAttributionProfiler(
+            self.service.accelerator, strict=False
+        ).attribute_engine(self.profile, self.telemetry)
+        out["analytic_consistency"] = {
+            "max_abs_error_s": check["max_abs_error_s"],
+            "checked_steps": check["checked_spans"],
+        }
         return out
 
 

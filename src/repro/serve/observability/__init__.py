@@ -17,8 +17,9 @@ Four cooperating pieces, all on the simulated clock:
 * :mod:`~repro.serve.observability.profiler` — the
   :class:`HardwareAttributionProfiler`, which splits every recorded
   busy interval into the analytic model's reprogram/stream/attention
-  components and asserts the reconstruction is bit-exact (the serving
-  cross-checks, absorbed as profiler assertions);
+  components and checks the reconstruction is bit-exact — the only
+  repricer of a finished run, whose non-strict mode fills both serving
+  reports' ``analytic_consistency``;
 * :mod:`~repro.serve.observability.slo` — multi-window
   :class:`BurnRateMonitor` error-budget tracking per class/tenant,
   surfaced to (not yet acted on by) the autoscaler.

@@ -11,10 +11,12 @@ phase-shifter **reprogram** settles and modular-MVM **stream** cycles
 :class:`HardwareAttributionProfiler` replays a run's telemetry through
 ``arch.inference`` component pricing and rolls the result up into a
 flame-graph-style table (``decode/token_gemm/stream``, ``prefill/
-attention/reprogram``, ...).  The existing exact cross-checks live
-*inside* the profiler as assertions: each span's reconstruction — built
-in the engine's own accumulation order — must equal the recorded
-duration **bit-for-bit**, so the tracing layer is self-verifying.  The
+attention/reprogram``, ...).  It is the only code that reprices a
+finished run: each span's reconstruction — built in the engine's own
+accumulation order — must equal the recorded duration **bit-for-bit**.
+Strict profilers assert it, so the tracing layer is self-verifying; both
+serving reports run a non-strict one and publish its
+``max_abs_error_s`` as their ``analytic_consistency``.  The
 reprogram/stream sub-split is a reporting view (streams are residuals,
 ``total - reprogram``); exactness is always stated on the totals, which
 is the only identity floating-point addition guarantees.
@@ -30,6 +32,7 @@ from ...arch.inference import (
     chunked_prefill_components,
     inference_latency_components,
 )
+from ..shapes import model_layer_shapes
 
 __all__ = ["HardwareAttributionProfiler"]
 
@@ -66,7 +69,8 @@ class HardwareAttributionProfiler:
     ``strict=True`` (the default) raises ``AssertionError`` the moment a
     span's component reconstruction disagrees with the recorded duration
     by even one ulp — the engine's dispatch accounting and the hardware
-    model must be the same arithmetic.
+    model must be the same arithmetic.  ``strict=False`` only measures:
+    the largest disagreement comes back as ``max_abs_error_s``.
     """
 
     def __init__(
@@ -90,8 +94,6 @@ class HardwareAttributionProfiler:
         prefill chunk — so ``attributed_s`` sums bit-identically to the
         recorded busy time and ``max_abs_error_s`` must be exactly zero.
         """
-        from ..runtime import model_layer_shapes  # local: no import cycle
-
         accelerator = self.accelerator
         kv = profile.kv
         shape_memo: Dict[int, list] = {}
@@ -207,11 +209,8 @@ class HardwareAttributionProfiler:
 
         ``profiles`` maps model name -> :class:`ModelProfile` (the
         runtime's ``profiles()`` dict).  Each recorded batch's service
-        time must equal the forward GEMM total at that batch size — the
-        same identity the runtime report's cross-check asserts.
+        time must equal the forward GEMM total at that batch size.
         """
-        from ..runtime import model_layer_shapes  # local: no import cycle
-
         accelerator = self.accelerator
         memo: Dict[tuple, Dict[str, float]] = {}
         rollup = _Rollup()

@@ -45,21 +45,22 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..arch.accelerator import MirageAccelerator
 from ..arch.inference import per_request_latency
-from ..arch.tiling import map_gemm
-from ..arch.workloads import GemmShape, LayerShape
-from ..nn.conv import Conv2d, conv_output_size
+from ..arch.latency import mirage_gemm_components
+from ..nn.conv import Conv2d
 from ..nn.layers import Linear, Sequential
 from .batcher import BatchPolicy, MicroBatcher
 from .clock import SimulatedClock, time_at_or_before
 from .faults import FaultInjector, FaultKind, FaultPlan, FleetMonitor, HealthPolicy
+from .observability.profiler import HardwareAttributionProfiler
 from .pool import ExecutorPool
 from .request import AdmissionQueue, InferenceRequest, RequestStatus
+from .shapes import model_layer_shapes
 from .telemetry import Telemetry, percentile, summarize_latencies
 
 __all__ = [
@@ -72,56 +73,6 @@ __all__ = [
     "model_layer_shapes",
     "infer_input_dim",
 ]
-
-
-# ----------------------------------------------------------------------
-# Model → GEMM-shape extraction (feeds the analytic latency model)
-# ----------------------------------------------------------------------
-def model_layer_shapes(
-    name: str,
-    model: Sequential,
-    batch: int,
-    input_hw: Optional[Tuple[int, int]] = None,
-) -> List[LayerShape]:
-    """Forward GEMM shapes of a Sequential model at a given batch size.
-
-    Linear layers map to ``(out, in) @ (in, batch)``; Conv2d layers use
-    the im2col convention and need ``input_hw`` to track spatial sizes.
-    """
-    shapes: List[LayerShape] = []
-    hw = input_hw
-    for i, layer in enumerate(model):
-        if isinstance(layer, Linear):
-            shapes.append(
-                LayerShape(
-                    f"{name}.{i}",
-                    GemmShape(layer.out_features, layer.in_features, batch),
-                    "linear",
-                )
-            )
-        elif isinstance(layer, Conv2d):
-            if hw is None:
-                raise ValueError(
-                    f"model {name!r} has Conv2d layers; pass input_hw"
-                )
-            k, s, p = layer.kernel_size, layer.stride, layer.padding
-            oh = conv_output_size(hw[0], k, s, p)
-            ow = conv_output_size(hw[1], k, s, p)
-            shapes.append(
-                LayerShape(
-                    f"{name}.{i}",
-                    GemmShape(
-                        layer.out_channels,
-                        layer.in_channels * k * k // layer.groups,
-                        batch * oh * ow,
-                    ),
-                    "conv",
-                )
-            )
-            hw = (oh, ow)
-    if not shapes:
-        raise ValueError(f"model {name!r} has no GEMM layers to serve")
-    return shapes
 
 
 def infer_input_dim(model: Sequential) -> int:
@@ -188,17 +139,19 @@ class ServiceModel:
     """Analytic batch-service latencies, memoised per (model, batch).
 
     ``batch_latency`` / ``prewarm_latency`` are pure functions of the
-    registered profile, so each (model, batch) pair is priced through
-    ``arch.inference`` exactly once per registration — hot dispatch
-    paths (every micro-batch and every engine decode step) read the
-    memo.  Re-registering a name drops that model's cached entries, so a
-    swapped profile can never serve the old profile's latencies.
+    registered profile, so each (model, batch) pair and each model's
+    prewarm charge is priced through ``arch`` exactly once per
+    registration — hot dispatch paths (every micro-batch and every
+    engine decode step) read the memos.  Re-registering a name drops
+    that model's cached entries, so a swapped profile can never serve
+    the old profile's latencies.
     """
 
     def __init__(self, accelerator: Optional[MirageAccelerator] = None):
         self.accelerator = accelerator or MirageAccelerator()
         self._profiles: Dict[str, ModelProfile] = {}
         self._cache: Dict[Tuple[str, int], float] = {}
+        self._prewarm_cache: Dict[str, float] = {}
 
     def register(self, profile: ModelProfile) -> None:
         if profile.name in self._profiles:
@@ -208,9 +161,10 @@ class ServiceModel:
     def _invalidate(self, model: str) -> None:
         for key in [k for k in self._cache if k[0] == model]:
             del self._cache[key]
+        self._prewarm_cache.pop(model, None)
 
     def cache_info(self) -> Dict[str, int]:
-        """Size of the latency memo (observability for the memo tests)."""
+        """Size of the batch-latency memo (observability for the memo tests)."""
         return {"entries": len(self._cache)}
 
     def batch_latency(self, model: str, batch: int) -> float:
@@ -228,25 +182,23 @@ class ServiceModel:
     def prewarm_latency(self, model: str) -> float:
         """Seconds to program all of ``model``'s weight tiles on one core.
 
-        One phase-shifter settle (``reprogram_time_s``) per round of
-        stationary weight tiles spread over the ``num_arrays`` RNS-MMVMUs
-        — the cost a cold replica pays before it can serve its first
-        batch, charged by the autoscaler on scale-up.
+        The phase-shifter settles of every layer's stationary weight
+        tiles (DF1's ``reprogram_s``) — the cost a cold replica pays
+        before it can serve its first batch, charged by the autoscaler on
+        scale-up.
         """
-        key = (model, -1)
-        if key not in self._cache:
+        if model not in self._prewarm_cache:
             profile = self._profiles[model]
-            config = self.accelerator.config
             shapes = model_layer_shapes(
                 model, profile.model, 1, profile.input_hw
             )
             total = 0.0
             for layer in shapes:
-                mapping = map_gemm(layer.gemm, config.v, config.g, "first")
-                rounds = -(-mapping.tiles // config.num_arrays)
-                total += rounds * config.reprogram_time_s
-            self._cache[key] = total
-        return self._cache[key]
+                total += mirage_gemm_components(
+                    layer.gemm, self.accelerator.config, "DF1"
+                )["reprogram_s"]
+            self._prewarm_cache[model] = total
+        return self._prewarm_cache[model]
 
 
 # ----------------------------------------------------------------------
@@ -920,8 +872,11 @@ class ServingRuntime:
         """Full serving report for a completed run.
 
         Includes the aggregate summary, per-model latency percentiles,
-        pool/cache stats, and the analytic-model consistency cross-check
-        (recorded busy intervals vs ``arch.inference`` recomputation).
+        pool/cache stats, and ``analytic_consistency``: every recorded
+        batch service time repriced from scratch by a non-strict
+        :class:`HardwareAttributionProfiler`, so drift between dispatch
+        accounting and the hardware model shows up as a nonzero
+        ``max_abs_error_s`` instead of an exception.
         """
         horizon = max(scenario.duration_s, self.telemetry.makespan())
         if slo_s is None:
@@ -951,14 +906,11 @@ class ServingRuntime:
             out["autoscaler"]["replica_seconds_total"] = (
                 self.autoscaler.replica_seconds()
             )
-        # Cross-check with a *fresh* ServiceModel (empty memo cache) so the
-        # recorded busy intervals are re-derived from arch.inference from
-        # scratch — drift or memo corruption in the runtime's own service
-        # model shows up here instead of being read back as-is.
-        fresh = ServiceModel(self.service.accelerator)
-        for profile in self._profiles.values():
-            fresh.register(profile)
-        out["analytic_consistency"] = self.telemetry.cross_check_service_model(
-            fresh.batch_latency
-        )
+        check = HardwareAttributionProfiler(
+            self.service.accelerator, strict=False
+        ).attribute_runtime(self._profiles, self.telemetry)
+        out["analytic_consistency"] = {
+            "max_abs_error_s": check["max_abs_error_s"],
+            "checked_batches": check["checked_spans"],
+        }
         return out

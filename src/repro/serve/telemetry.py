@@ -7,9 +7,11 @@ admission rejections, and programmed-cache hit rate.
 
 Because service times come from the analytic hardware model
 (:mod:`repro.arch.latency` via :func:`repro.arch.inference.per_request_latency`),
-the report can *cross-check* itself: recomputing each dispatched batch's
-service latency from its (model, batch-size) pair must reproduce the
-recorded busy intervals exactly.  ``slo_attainment`` then reads as
+the records are exactly re-derivable: the serving reports hand them to
+:class:`~repro.serve.observability.HardwareAttributionProfiler`, which
+reprices each dispatched batch from its (model, batch-size) pair and
+each engine step from its batch composition, and must reproduce the
+recorded busy intervals bit-for-bit.  ``slo_attainment`` then reads as
 "fraction of admitted requests that met their latency target on the
 simulated hardware"; with priority-classed traffic the summary splits it
 per class (``per_class``: completions, sheds — rejections *and*
@@ -24,7 +26,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,27 +313,6 @@ class Telemetry:
             out[p] = met / total
         return out
 
-    def cross_check_service_model(
-        self, service_fn: Callable[[str, int], float]
-    ) -> Dict[str, float]:
-        """Verify recorded busy intervals against the analytic model.
-
-        ``service_fn(model, batch_size)`` is the same analytic latency
-        the runtime used at dispatch; any drift between recorded and
-        recomputed service times means the telemetry and the
-        ``arch.inference``/``arch.latency`` accounting have diverged.
-        """
-        if not self.batches:
-            return {"max_abs_error_s": 0.0, "checked_batches": 0}
-        errs = [
-            abs(b.service_s - service_fn(b.model, b.batch_size))
-            for b in self.batches
-        ]
-        return {
-            "max_abs_error_s": float(max(errs)),
-            "checked_batches": len(self.batches),
-        }
-
     # ------------------------------------------------------------------
     def summary(
         self,
@@ -434,12 +415,12 @@ class EngineTelemetry:
     Sessions are duck-typed (:class:`repro.serve.engine.DecodeSession`):
     anything with ``priority``/``ttft``/``tpot``/``decode_len``/
     ``finish_time``/``preemptions`` records.  Per-step records keep the
-    exact batch composition (context lengths and prefill chunks), so the
-    report can re-derive every step's latency from
-    :func:`repro.arch.inference.decode_step_latency` /
-    :func:`repro.arch.inference.chunked_prefill_latency` and prove the
-    engine's accounting matches the analytic hardware model — the same
-    cross-check discipline as request-level :class:`Telemetry`.
+    exact batch composition (context lengths and prefill chunks), so
+    :class:`~repro.serve.observability.HardwareAttributionProfiler` can
+    re-derive every step's latency from ``arch.inference`` component
+    pricing and prove the engine's accounting matches the analytic
+    hardware model — the same check the request-level
+    :class:`Telemetry` batch records get.
 
     ``streaming=True`` switches to **bounded-memory** accounting: no
     per-session/per-step record lists (``sessions``/``rejected``/
@@ -1050,28 +1031,6 @@ class EngineTelemetry:
             "health_transitions": len(self.health_transitions),
             "unavailability_windows": self.unavailability_windows(),
             "stall_s": self.stall_time(),
-        }
-
-    def cross_check_decode_model(
-        self, step_fn: Callable[[str, Sequence[int], Sequence[int]], float]
-    ) -> Dict[str, float]:
-        """Re-derive every step's cost from the analytic decode model.
-
-        ``step_fn(model, context_lens, prefill_chunks)`` must reproduce
-        each recorded ``step_s`` exactly — including steps that carry
-        chunked or prefix-trimmed prefills (each ``(resident_context,
-        chunk_len)`` pair reprices independently) — or the engine's
-        dispatch accounting has drifted from ``arch.inference``.
-        """
-        if not self.steps:
-            return {"max_abs_error_s": 0.0, "checked_steps": 0}
-        errs = [
-            abs(r.step_s - step_fn(r.model, r.context_lens, r.prefill_chunks))
-            for r in self.steps
-        ]
-        return {
-            "max_abs_error_s": float(max(errs)),
-            "checked_steps": len(self.steps),
         }
 
     # ------------------------------------------------------------------

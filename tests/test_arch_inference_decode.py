@@ -4,13 +4,13 @@ import pytest
 
 from repro.arch.accelerator import MirageAccelerator
 from repro.arch.inference import (
+    attention_token_components,
     attention_token_latency,
     chunked_prefill_latency,
     decode_step_latency,
     inference_latency,
-    microbatch_latency,
+    inference_latency_components,
     per_request_latency,
-    prefill_latency,
 )
 from repro.arch.workloads import GemmShape, LayerShape
 from repro.nn import KVCacheSpec
@@ -35,7 +35,7 @@ class TestHardening:
 
     def test_empty_layer_lists_rejected(self):
         with pytest.raises(ValueError):
-            microbatch_latency([])
+            inference_latency(())
         with pytest.raises(ValueError):
             inference_latency([])
         with pytest.raises(ValueError):
@@ -83,23 +83,28 @@ class TestDecodeStepLatency:
         lens = [5, 9, 5, 17]
         layers = mlp_layers(batch=len(lens))
         out = decode_step_latency(layers, lens, KV)
-        token = microbatch_latency(layers)
-        assert out["token_parallel_s"] == token
+        token = inference_latency_components(layers)
+        assert out["token_parallel_s"] == token["total_s"]
+        assert out["token_reprogram_s"] == token["reprogram_s"]
         attention = 0.0
+        attention_reprogram = 0.0
         cache = {}
         for length in lens:
             if length not in cache:
-                cache[length] = attention_token_latency(KV, length)
-            attention += cache[length]
+                cache[length] = attention_token_components(KV, length)
+            attention += cache[length]["total_s"]
+            attention_reprogram += cache[length]["reprogram_s"]
         assert out["attention_s"] == attention
-        assert out["step_latency_s"] == token + attention
+        assert out["attention_reprogram_s"] == attention_reprogram
+        assert out["step_latency_s"] == token["total_s"] + attention
         assert out["per_token_s"] == pytest.approx(out["step_latency_s"] / 4)
 
     def test_kv_none_is_token_parallel_only(self):
         layers = mlp_layers(batch=2)
         out = decode_step_latency(layers, [3, 7], kv=None)
         assert out["attention_s"] == 0.0
-        assert out["step_latency_s"] == microbatch_latency(layers)
+        assert out["attention_reprogram_s"] == 0.0
+        assert out["step_latency_s"] == inference_latency(layers)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -113,37 +118,51 @@ class TestDecodeStepLatency:
 
 
 class TestPrefillLatency:
+    """The monolithic prompt pass: the whole prompt as one chunk over no
+    resident context."""
+
     def test_quadratic_attention_term(self):
         accelerator = MirageAccelerator()
-        short = prefill_latency(mlp_layers(batch=8), 8, KV, accelerator)
-        long = prefill_latency(mlp_layers(batch=32), 32, KV, accelerator)
+        short = chunked_prefill_latency(mlp_layers(batch=8), 8, 0, KV, accelerator)
+        long = chunked_prefill_latency(mlp_layers(batch=32), 32, 0, KV, accelerator)
         assert 0 < short < long
         # Without KV the prompt pass is just the token-parallel GEMMs.
-        bare = prefill_latency(mlp_layers(batch=8), 8, None, accelerator)
-        assert bare == microbatch_latency(mlp_layers(batch=8), accelerator)
+        bare = chunked_prefill_latency(mlp_layers(batch=8), 8, 0, None, accelerator)
+        assert bare == inference_latency(mlp_layers(batch=8), accelerator)
         assert bare < short
 
     def test_zero_prompt_is_defined_as_free(self):
         # A fully cached prefix: no GEMM streams (layers and kv are not
         # consulted), but the admission still costs a scheduling step —
         # the engine boundary relies on this being exactly 0.0.
-        assert prefill_latency(mlp_layers(), 0, KV) == 0.0
-        assert prefill_latency([], 0, None) == 0.0
+        assert chunked_prefill_latency(mlp_layers(), 0, 0, KV) == 0.0
+        assert chunked_prefill_latency([], 0, 0, None) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            prefill_latency(mlp_layers(), -1, KV)
+            chunked_prefill_latency(mlp_layers(), -1, 0, None)
         with pytest.raises(ValueError):
-            prefill_latency([], 4, KV)
+            chunked_prefill_latency([], 4, 0, None)
 
 
 class TestChunkedPrefillLatency:
     def test_single_chunk_matches_prefill_exactly(self):
+        # One chunk over no context is the token GEMMs plus one pass of
+        # causal attention over the prompt: per layer and head a
+        # (P, head_dim) @ (head_dim, P) score GEMM and a (P, P) @
+        # (P, head_dim) context GEMM.
         accelerator = MirageAccelerator()
+        count = KV.num_layers * KV.num_heads
         for p in (1, 8, 17):
+            attention = [
+                LayerShape("scores", GemmShape(p, KV.head_dim, p, count), "attention"),
+                LayerShape("context", GemmShape(p, p, KV.head_dim, count), "attention"),
+            ]
             assert chunked_prefill_latency(
                 mlp_layers(batch=p), p, 0, KV, accelerator
-            ) == prefill_latency(mlp_layers(batch=p), p, KV, accelerator)
+            ) == inference_latency(mlp_layers(batch=p), accelerator) + (
+                inference_latency(attention, accelerator)
+            )
 
     def test_zero_chunk_is_free(self):
         assert chunked_prefill_latency(mlp_layers(), 0, 12, KV) == 0.0
@@ -160,7 +179,7 @@ class TestChunkedPrefillLatency:
     def test_kv_none_is_token_parallel_only(self):
         layers = mlp_layers(batch=4)
         assert chunked_prefill_latency(layers, 4, 100, None) == (
-            microbatch_latency(layers)
+            inference_latency(layers)
         )
 
     def test_validation(self):

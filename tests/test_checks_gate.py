@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.checks import load_config, run_checks
 
 REPO = Path(__file__).resolve().parent.parent
@@ -24,10 +26,14 @@ def _gate_config():
     return load_config(REPO / "pyproject.toml")
 
 
-def test_src_is_clean_under_strict_profile():
-    report = run_checks(
-        [REPO / "src"], profile="strict", config=_gate_config()
-    )
+@pytest.fixture(scope="module")
+def strict_src_report():
+    """One strict parse of ``src/``, shared by the tests that read it."""
+    return run_checks([REPO / "src"], profile="strict", config=_gate_config())
+
+
+def test_src_is_clean_under_strict_profile(strict_src_report):
+    report = strict_src_report
     assert report.active == [], "\n" + report.render_text()
     assert report.files_checked > 100  # the whole tree, not a subset
 
@@ -51,11 +57,8 @@ def test_examples_clean_under_relaxed_profile():
     assert report.files_checked > 10
 
 
-def test_every_waiver_in_src_carries_a_reason():
-    report = run_checks(
-        [REPO / "src"], profile="strict", config=_gate_config()
-    )
-    waived = [f for f in report.findings if f.waived]
+def test_every_waiver_in_src_carries_a_reason(strict_src_report):
+    waived = [f for f in strict_src_report.findings if f.waived]
     for f in waived:
         assert f.waive_reason.strip(), f"{f.path}:{f.line} reasonless waiver"
 

@@ -7,18 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from repro.arch.accelerator import MirageAccelerator
 from repro.arch.config import MirageConfig
-from repro.arch.inference import (
-    attention_token_components,
-    attention_token_latency,
-    chunked_prefill_components,
-    chunked_prefill_latency,
-    decode_step_components,
-    decode_step_latency,
-    inference_latency,
-    inference_latency_components,
-)
 from repro.arch.memory import MemorySystemModel
 from repro.nn import KVCacheSpec, Linear, Sequential, Tanh
 from repro.serve import (
@@ -39,7 +28,6 @@ from repro.serve import (
     Tracer,
     bursty_scenario,
     default_windows,
-    model_layer_shapes,
     parse_prometheus_text,
     percentile,
 )
@@ -281,45 +269,6 @@ class TestSLOBurn:
         assert wins[0].long_s == pytest.approx(5.0)
         assert wins[0].short_s == pytest.approx(5.0 / 12.0)
         assert wins[0].threshold > wins[1].threshold
-
-
-# ----------------------------------------------------------------------
-# Component pricing stays bit-identical to the plain latency model
-# ----------------------------------------------------------------------
-class TestComponentExactness:
-    def test_inference_components_total(self):
-        acc = MirageAccelerator()
-        layers = model_layer_shapes("m", mlp(dim=64), 4)
-        comp = inference_latency_components(layers, acc)
-        assert comp["total_s"] == inference_latency(layers, acc)
-        assert comp["stream_s"] == comp["total_s"] - comp["reprogram_s"]
-
-    def test_attention_components_total(self):
-        acc = MirageAccelerator()
-        kv = KVCacheSpec(num_layers=2, num_heads=4, head_dim=8)
-        comp = attention_token_components(kv, 17, acc)
-        assert comp["total_s"] == attention_token_latency(kv, 17, acc)
-
-    def test_decode_step_components_total(self):
-        acc = MirageAccelerator()
-        kv = KVCacheSpec(num_layers=2, num_heads=4, head_dim=8)
-        lens = [5, 9, 5, 33]
-        layers = model_layer_shapes("m", mlp(dim=64), len(lens))
-        comp = decode_step_components(layers, lens, kv, acc)
-        plain = decode_step_latency(layers, lens, kv, acc)
-        assert comp["step_latency_s"] == plain["step_latency_s"]
-        assert comp["attention_s"] == plain["attention_s"]
-
-    def test_chunked_prefill_components_total(self):
-        acc = MirageAccelerator()
-        kv = KVCacheSpec(num_layers=2, num_heads=4, head_dim=8)
-        layers = model_layer_shapes("m", mlp(dim=64), 8)
-        comp = chunked_prefill_components(layers, 8, 16, kv, acc)
-        assert comp["total_s"] == chunked_prefill_latency(
-            layers, 8, 16, kv, acc
-        )
-        zero = chunked_prefill_components(layers, 0, 16, kv, acc)
-        assert zero["total_s"] == 0.0
 
 
 # ----------------------------------------------------------------------

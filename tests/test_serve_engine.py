@@ -473,6 +473,19 @@ class TestEngineScheduling:
         )
         assert report["kv"]["peak_occupancy"] <= 1.0
 
+    def test_report_measures_drift_without_raising(self):
+        engine = make_engine(max_batch_size=4)
+        sc = session_scenario(
+            [(0.0, 0, 3, 5), (0.0, 2, 2, 2), (1e-8, 0, 6, 4)]
+        )
+        engine.run(sc, seed=1)
+        record = engine.telemetry.steps[len(engine.telemetry.steps) // 2]
+        priced = record.step_s
+        record.step_s = float(np.nextafter(priced, np.inf))
+        check = engine.report(sc)["analytic_consistency"]
+        assert check["max_abs_error_s"] == record.step_s - priced > 0.0
+        assert check["checked_steps"] == len(engine.telemetry.steps)
+
     def test_kv_occupancy_never_exceeds_budget(self):
         engine = make_engine(blocks=10, block_tokens=2, max_batch_size=6)
         sc = decode_scenario(
@@ -534,7 +547,9 @@ class TestServiceModelMemoisation:
         value = service.attention_latency("m0", 5)
         if ("m0", 5) in attn_before:
             assert attn_before[("m0", 5)] == value
-        assert service.prefill("m0", 3) == service.prefill("m0", 3)
+        assert service.chunked_prefill("m0", 3, 0) == service.chunked_prefill(
+            "m0", 3, 0
+        )
 
     def test_reregister_invalidates_stale_latencies(self):
         from repro.serve import ModelProfile, ServiceModel
@@ -542,7 +557,9 @@ class TestServiceModelMemoisation:
         service = ServiceModel()
         service.register(ModelProfile("m0", recurrent_mlp(0, dim=12)))
         small = service.batch_latency("m0", 4)
+        small_prewarm = service.prewarm_latency("m0")
         assert service.cache_info()["entries"] == 1
         service.register(ModelProfile("m0", recurrent_mlp(1, dim=48, hidden=96)))
         assert service.cache_info()["entries"] == 0
         assert service.batch_latency("m0", 4) > small
+        assert service.prewarm_latency("m0") > small_prewarm

@@ -14,6 +14,7 @@ from repro.serve import (
     MicroBatcher,
     ModelProfile,
     RequestStatus,
+    ServiceModel,
     ServingRuntime,
     SimulatedClock,
     model_layer_shapes,
@@ -207,6 +208,20 @@ class TestLayerShapes:
             per_request_latency(s1, 0)
 
 
+class TestServiceModel:
+    def test_prewarm_has_its_own_memo(self):
+        service = ServiceModel()
+        service.register(ModelProfile("m0", mlp(0)))
+        with pytest.raises(ValueError):
+            service.batch_latency("m0", -1)
+        prewarm = service.prewarm_latency("m0")
+        assert prewarm > 0.0
+        assert service.cache_info()["entries"] == 0
+        with pytest.raises(ValueError):
+            service.batch_latency("m0", -1)
+        assert service.prewarm_latency("m0") == prewarm
+
+
 class TestRuntimeEndToEnd:
     def test_all_requests_complete_fifo_and_batched(self):
         rt = make_runtime(max_batch=4, max_wait=1e-6)
@@ -300,6 +315,17 @@ class TestRuntimeEndToEnd:
         hist = report["batch_size_histogram"]
         assert sum(int(k) * v for k, v in hist.items()) == report["completed"]
 
+
+    def test_report_measures_drift_without_raising(self):
+        rt = make_runtime(max_batch=8)
+        scen = poisson_scenario("m0", rate=3e7, duration=1e-6, seed=3)
+        tel = rt.run(scen, seed=4)
+        record = tel.batches[len(tel.batches) // 2]
+        priced = record.service_s
+        record.service_s = float(np.nextafter(priced, np.inf))
+        check = rt.report(scen)["analytic_consistency"]
+        assert check["max_abs_error_s"] == record.service_s - priced > 0.0
+        assert check["checked_batches"] == len(tel.batches)
     def test_conv_first_model_serving(self):
         from repro.nn import Flatten
         from repro.nn.conv import Conv2d
