@@ -7,7 +7,16 @@ import subprocess
 import numpy as np
 import pytest
 
+from repro.arch.accelerator import MirageAccelerator
 from repro.arch.config import MirageConfig
+from repro.arch.inference import (
+    attention_token_components,
+    attention_token_latency,
+    chunked_prefill_components,
+    chunked_prefill_latency,
+    decode_step_latency,
+    inference_latency_components,
+)
 from repro.arch.memory import MemorySystemModel
 from repro.nn import KVCacheSpec, Linear, Sequential, Tanh
 from repro.serve import (
@@ -28,6 +37,7 @@ from repro.serve import (
     Tracer,
     bursty_scenario,
     default_windows,
+    model_layer_shapes,
     parse_prometheus_text,
     percentile,
 )
@@ -269,6 +279,43 @@ class TestSLOBurn:
         assert wins[0].long_s == pytest.approx(5.0)
         assert wins[0].short_s == pytest.approx(5.0 / 12.0)
         assert wins[0].threshold > wins[1].threshold
+
+
+# ----------------------------------------------------------------------
+# The scalar latency views return their components' totals bit-exactly
+# ----------------------------------------------------------------------
+class TestComponentExactness:
+    def test_attention_components_total(self):
+        acc = MirageAccelerator()
+        kv = KVCacheSpec(num_layers=2, num_heads=4, head_dim=8)
+        comp = attention_token_components(kv, 17, acc)
+        assert comp["total_s"] == attention_token_latency(kv, 17, acc)
+
+    def test_decode_step_components_total(self):
+        acc = MirageAccelerator()
+        kv = KVCacheSpec(num_layers=2, num_heads=4, head_dim=8)
+        lens = [5, 9, 5, 33]
+        layers = model_layer_shapes("m", mlp(dim=64), len(lens))
+        step = decode_step_latency(layers, lens, kv, acc)
+        token = inference_latency_components(layers, acc)
+        attention = sum(
+            attention_token_components(kv, length, acc)["total_s"]
+            for length in lens
+        )
+        assert step["token_parallel_s"] == token["total_s"]
+        assert step["attention_s"] == attention
+        assert step["step_latency_s"] == token["total_s"] + attention
+
+    def test_chunked_prefill_components_total(self):
+        acc = MirageAccelerator()
+        kv = KVCacheSpec(num_layers=2, num_heads=4, head_dim=8)
+        layers = model_layer_shapes("m", mlp(dim=64), 8)
+        comp = chunked_prefill_components(layers, 8, 16, kv, acc)
+        assert comp["total_s"] == chunked_prefill_latency(
+            layers, 8, 16, kv, acc
+        )
+        zero = chunked_prefill_components(layers, 0, 16, kv, acc)
+        assert zero["total_s"] == 0.0
 
 
 # ----------------------------------------------------------------------
