@@ -78,12 +78,20 @@ class MicroBatcher:
             return None
         return oldest + self.policy.max_wait_s
 
-    def next_deadline(self, queue: AdmissionQueue) -> Optional[float]:
-        """Earliest launch deadline across all waiting models."""
+    def next_deadline(
+        self, queue: AdmissionQueue, now: float
+    ) -> Optional[float]:
+        """Earliest launch deadline strictly after ``now``, or None.
+
+        A deadline at or before ``now`` needs no timer: its model was
+        either dispatched by the drain that asks, or has every replica
+        busy and wakes on a worker-free event.  Skipping it keeps such a
+        blocked model from hiding another model's future deadline.
+        """
         deadlines = [
             self.deadline(queue, m) for m in queue.models_waiting()
         ]
-        return min(deadlines) if deadlines else None
+        return min((dl for dl in deadlines if dl > now), default=None)
 
     def urgency(self, queue: AdmissionQueue, model: str, now: float) -> float:
         """Best effective priority among ``model``'s waiting requests.

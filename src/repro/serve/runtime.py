@@ -522,8 +522,18 @@ class ServingRuntime:
         rng = np.random.default_rng(seed)
         heap: List[Tuple[float, int, int, object]] = []
         seq = itertools.count()
+        # Times with a _DEADLINE wake-up pending.  A second wake-up at an
+        # armed time would only re-run a drain that dispatches nothing,
+        # and every drain re-arms its timer, so duplicates would multiply.
+        armed: set = set()
 
         def push(t: float, kind: int, payload: object) -> None:
+            if kind == _DEADLINE:
+                # Exact membership is intended: a duplicate wake-up carries
+                # the identical float (oldest_arrival + max_wait_s).
+                if t in armed:
+                    return
+                armed.add(t)
             heapq.heappush(heap, (t, kind, next(seq), payload))
 
         if faults is not None:
@@ -568,6 +578,8 @@ class ServingRuntime:
                 self._admit(model, priority, now, rng, input_fn)
             elif kind == _WORKER_FREE:
                 self._complete(payload)
+            elif kind == _DEADLINE:
+                armed.discard(t)
             elif kind == _FAULT:
                 for event in self._injector.due(now):
                     self._apply_fault(event, now, push)
@@ -757,7 +769,13 @@ class ServingRuntime:
 
     # ------------------------------------------------------------------
     def _drain(self, now: float, push) -> None:
-        """Dispatch every batch that is ready and has a free worker."""
+        """Dispatch every batch that is ready and has a free worker.
+
+        Runs once per popped event (one ``queue.expire`` per poll), then
+        arms a wake-up for the earliest batching deadline after ``now``.
+        ``push`` keeps one pending wake-up per instant, so re-arming the
+        same deadline from every drain adds no events.
+        """
         for request in self.queue.expire(now):
             self.telemetry.record_timeout(request)
             self._trace_terminal(request, "timeout", now)
@@ -778,9 +796,8 @@ class ServingRuntime:
                 model = self.batcher.ready_model(self.queue, now, tried)
             if not dispatched:
                 break
-        # Arm a timer for the earliest future batching deadline.
-        dl = self.batcher.next_deadline(self.queue)
-        if dl is not None and dl > now:
+        dl = self.batcher.next_deadline(self.queue, now)
+        if dl is not None:
             push(dl, _DEADLINE, None)
 
     def _dispatch(self, model: str, worker, now: float, push) -> None:

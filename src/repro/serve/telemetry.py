@@ -121,7 +121,6 @@ class Telemetry:
         self.rejected_by_class: Counter = Counter()
         self.evicted: int = 0
         self.batches: List[_BatchRecord] = []
-        self._depth_samples: List[Tuple[float, int]] = []
         # Failure plane (PR 6): counters stay zero on fault-free runs,
         # and the summary only grows a "resilience" section when the
         # run actually saw failure activity.
@@ -206,7 +205,6 @@ class Telemetry:
             self._m_latency.observe(request.total_latency, request.model)
 
     def sample_queue_depth(self, now: float, depth: int) -> None:
-        self._depth_samples.append((now, depth))
         self._m_queue_depth.labels().set(depth, t=now)
 
     # ------------------------------------------------------------------
@@ -280,11 +278,28 @@ class Telemetry:
             return 0.0
         return max(r.completion_time for r in self.completed)
 
-    def queue_depth_stats(self) -> Dict[str, float]:
-        if not self._depth_samples:
+    def queue_depth_stats(self, horizon_s: float) -> Dict[str, float]:
+        """Time-weighted mean and max of the ``serve_queue_depth`` series.
+
+        Each sample holds until the next one (the depth is zero before
+        the first), and the mean integrates that step function over
+        ``[0, horizon_s]``.  Samples that share a timestamp span zero
+        time, so the mean measures the queue, not how often the event
+        loop sampled it; by Little's law, ``mean * horizon_s`` is the
+        total time requests spent queued.
+        """
+        series = self._m_queue_depth.series()
+        if not series:
             return {"mean": 0.0, "max": 0.0}
-        depths = np.array([d for _, d in self._depth_samples], dtype=np.float64)
-        return {"mean": float(depths.mean()), "max": float(depths.max())}
+        ends = [t for t, _ in series[1:]] + [horizon_s]
+        area = math.fsum(
+            depth * (min(end, horizon_s) - min(t, horizon_s))
+            for (t, depth), end in zip(series, ends)
+        )
+        return {
+            "mean": area / horizon_s if horizon_s > 0 else 0.0,
+            "max": max(depth for _, depth in series),
+        }
 
     def slo_attainment(self, slo_s: float) -> float:
         """Fraction of *admitted* requests completing within ``slo_s``.
@@ -332,7 +347,7 @@ class Telemetry:
             "batch_size_histogram": {
                 str(k): v for k, v in self.batch_size_histogram().items()
             },
-            "queue_depth": self.queue_depth_stats(),
+            "queue_depth": self.queue_depth_stats(horizon_s),
         }
         if slo_s is not None:
             out["slo_s"] = slo_s

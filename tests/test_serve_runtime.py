@@ -1,5 +1,7 @@
 """Serving runtime end-to-end: queue, batcher, dispatch, telemetry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,16 +20,23 @@ from repro.serve import (
     ServingRuntime,
     SimulatedClock,
     model_layer_shapes,
+    multi_tenant_priority_scenario,
     poisson_scenario,
 )
 from repro.serve.traffic import Scenario
 
 
-def mlp(seed=0, d_in=16, hidden=32, d_out=8):
+def stack(dims, seed=0):
+    """Linear layers of widths ``dims`` with a ReLU between each pair."""
     rng = np.random.default_rng(seed)
-    return Sequential(
-        Linear(d_in, hidden, rng=rng), ReLU(), Linear(hidden, d_out, rng=rng)
-    )
+    layers = []
+    for d_in, d_out in zip(dims[:-1], dims[1:]):
+        layers += [Linear(d_in, d_out, rng=rng), ReLU()]
+    return Sequential(*layers[:-1])
+
+
+def mlp(seed=0, d_in=16, hidden=32, d_out=8):
+    return stack((d_in, hidden, d_out), seed)
 
 
 def make_runtime(
@@ -106,9 +115,15 @@ class TestMicroBatcher:
         q = AdmissionQueue(16)
         mb = MicroBatcher(BatchPolicy(max_batch_size=8, max_wait_s=0.5))
         q.offer(InferenceRequest(0, "m", np.zeros(1), 1.0))
-        assert mb.next_deadline(q) == pytest.approx(1.5)
+        assert mb.next_deadline(q, 1.0) == pytest.approx(1.5)
         assert mb.ready_model(q, 1.4) is None
         assert mb.ready_model(q, 1.5) == "m"
+        # Only deadlines strictly after `now` arm a timer: a passed one
+        # must not hide a later model's deadline.
+        q.offer(InferenceRequest(1, "n", np.zeros(1), 1.2))
+        assert mb.next_deadline(q, 1.0) == 1.5
+        assert mb.next_deadline(q, 1.5) == 1.7
+        assert mb.next_deadline(q, 1.7) is None
 
     def test_earliest_deadline_wins_across_models(self):
         q = AdmissionQueue(16)
@@ -361,7 +376,6 @@ class TestRuntimeEndToEnd:
         with pytest.raises(ValueError):
             rt.register_model(ModelProfile("cnn", model, replicas=1))
 
-    @pytest.mark.slow
     def test_sustained_overload_stress(self):
         """Long saturating trace: no stranding, bounded queue, stable stats."""
         rt = make_runtime(
@@ -411,6 +425,81 @@ class TestRuntimeEndToEnd:
             r.dispatch_time for r in tel.completed if r.model == "b"
         )
         assert b_dispatch < a_batches[0][1]
+
+    def test_blocked_model_does_not_hide_another_models_deadline(self):
+        # "a" has a batch waiting on its busy replica, its batching
+        # deadline already passed; "b"'s own worker idles.  "b" must
+        # launch at its own deadline, not when "a"'s worker frees.
+        pool = ExecutorPool(2)
+        rt = ServingRuntime(
+            pool, BatchPolicy(max_batch_size=2, max_wait_s=1e-7), execute=False
+        )
+        rt.register_model(ModelProfile("a", stack((512, 512, 512)), replicas=1))
+        rt.register_model(ModelProfile("b", mlp(1), replicas=1))
+        arrivals = ((0.0, "a"), (0.0, "a"), (1e-9, "a"), (1e-9, "a"), (2e-9, "b"))
+        tel = rt.run(Scenario("blocked", arrivals, 1e-7), seed=0)
+        (b,) = [r for r in tel.completed if r.model == "b"]
+        assert pool.replicas("a") == [0] and b.worker_id == 1
+        assert b.dispatch_time == 2e-9 + 1e-7
+        assert b.dispatch_time - b.arrival_time == pytest.approx(1e-7)
+
+    def test_queue_depth_mean_obeys_littles_law(self):
+        # Fault-free with nothing shed: the time-weighted mean depth over
+        # the horizon, times the horizon, is the total time queued.
+        rt = make_runtime(
+            max_batch=8, max_wait=1e-7, capacity=256, execute=False
+        )
+        scen = poisson_scenario("m0", rate=5e8, duration=2e-6, seed=21)
+        tel = rt.run(scen, seed=0)
+        report = rt.report(scen)
+        assert tel.rejected == 0 and len(tel.completed) == scen.num_requests
+        horizon = max(scen.duration_s, tel.makespan())
+        queued = math.fsum(
+            r.dispatch_time - r.arrival_time for r in tel.completed
+        )
+        assert queued > 0.0
+        assert report["queue_depth"]["mean"] * horizon == pytest.approx(
+            queued, rel=1e-12
+        )
+
+    def test_drain_polls_stay_linear_in_requests(self, monkeypatch):
+        # One AdmissionQueue.expire per _drain poll.  Duplicate batching
+        # timers would make polls per request grow with the run length.
+        polls = [0]
+        expire = AdmissionQueue.expire
+
+        def counting_expire(queue, now):
+            polls[0] += 1
+            return expire(queue, now)
+
+        monkeypatch.setattr(AdmissionQueue, "expire", counting_expire)
+        dims = {
+            "mlp_a": (64, 128, 10),
+            "mlp_b": (128, 128, 32, 10),
+            "mlp_c": (32, 64, 10),
+        }
+        per_request = {}
+        for duration in (5e-7, 1e-6, 2e-6):
+            rt = ServingRuntime(
+                ExecutorPool(4, policy="cache_affinity"),
+                BatchPolicy(max_batch_size=32, max_wait_s=2e-7),
+                queue_capacity=256,
+                execute=False,
+            )
+            for i, (name, d) in enumerate(dims.items()):
+                rt.register_model(ModelProfile(name, stack(d, i), replicas=4))
+            scen = multi_tenant_priority_scenario(
+                {"mlp_a": 6.0, "mlp_b": 3.0, "mlp_c": 1.0},
+                1.5e9,
+                duration,
+                {"mlp_a": {0: 3, 2: 1}},
+                seed=4,
+            )
+            polls[0] = 0
+            tel = rt.run(scen, seed=0)
+            assert len(tel.completed) == scen.num_requests
+            per_request[duration] = polls[0] / scen.num_requests
+        assert max(per_request.values()) <= 1.25, per_request
 
     def test_multi_model_sharding(self):
         pool = ExecutorPool(2, policy="cache_affinity")
