@@ -29,11 +29,14 @@ Gates (the ISSUE bar):
   (including the sketch-backed TTFT histogram's bucket rendering).
 
 The streaming telemetry is additionally cross-checked against the
-exact (record-keeping) telemetry of the identical seeded run: session
-/ token / step counts, makespan and mean batch size agree exactly,
-sketched TTFT quantiles agree within alpha of nearest-rank, and the
-O(1) mode keeps no per-event state (empty ``steps`` / ``sessions``
-lists, empty gauge series).
+exact (record-keeping) telemetry of the identical seeded run.  Both
+modes read every scalar from the same O(1) accumulators and differ only
+in what they retain and in how they summarise distributions, so every
+non-distribution field of the summary (counts, tokens, TPOT, steps,
+mean batch, preemptions, KV, prefix and fault stats, and the per-class
+counts) agrees exactly; sketched TTFT quantiles agree within alpha of
+nearest-rank; the streaming run keeps no per-event state (empty
+``steps`` / ``sessions`` lists); and neither run grows a gauge series.
 
 ``REPRO_SMOKE=1`` (the default test tier) runs the same gates at tiny
 shapes without touching the committed JSON.
@@ -108,6 +111,23 @@ HEAD_TARGET = 16  # aim for ~16 head-sampled sessions at every scale
 # fault-free envelope, a violation can only come from the (fixed-size)
 # fault storm — keeping the retained set scale-independent.
 SLO_MARGIN = 1.25
+# Every field of EngineTelemetry.summary(..., ttft_slo_s) that is not a
+# distribution, and the per-class counts; the two modes must agree on
+# each exactly.
+SCALAR_FIELDS = (
+    "sessions",
+    "rejected",
+    "tokens",
+    "tokens_per_s",
+    "tpot_s",
+    "steps",
+    "mean_batch_size",
+    "preemptions",
+    "kv",
+    "prefix",
+    "faults",
+)
+CLASS_FIELDS = ("sessions", "rejected", "preemptions")
 
 
 def _profile():
@@ -193,6 +213,15 @@ def _streaming_run(scale, plan, health):
     engine = _engine(observability=obs, health=health)
     telemetry = engine.run(_scenario(scale), seed=SEED_RUN, faults=plan)
     return obs, telemetry
+
+
+def _scalar_fields(summary):
+    out = {key: summary.get(key) for key in SCALAR_FIELDS}
+    out["per_class"] = {
+        p: {key: row[key] for key in CLASS_FIELDS}
+        for p, row in summary.get("per_class", {}).items()
+    }
+    return out
 
 
 def _session_track_records(tracer):
@@ -362,17 +391,23 @@ def test_obs_scale_gate():
     assert stel.streaming and not stel.steps and not stel.sessions
     assert stel.sessions_count() == len(etel.sessions)
     assert stel.steps_count() == len(etel.steps)
-    assert stel.tokens_generated() == etel.tokens_generated()
     assert stel.makespan() == etel.makespan()
-    assert stel.mean_batch_size() == etel.mean_batch_size()
+    horizon = etel.makespan()
+    assert _scalar_fields(
+        stel.summary(horizon, ttft_slo_s=TTFT_SLO_S)
+    ) == _scalar_fields(etel.summary(horizon, ttft_slo_s=TTFT_SLO_S))
     with pytest.raises(ValueError):
         stel.ttfts()
-    for metric in sobs.registry.metrics():
-        if isinstance(metric, Gauge):
-            for child in metric.children():
-                assert child.series == [], (
-                    f"streaming mode grew gauge series on {metric.name}"
-                )
+    for mode, registry, prefix in (
+        ("streaming", sobs.registry, ""),
+        ("exact", big["obs"].registry, "engine_"),
+    ):
+        for metric in registry.metrics():
+            if isinstance(metric, Gauge) and metric.name.startswith(prefix):
+                for child in metric.children():
+                    assert child.series == [], (
+                        f"{mode} mode grew gauge series on {metric.name}"
+                    )
 
     ttfts = sorted(etel.ttfts())
     ssummary = stel.summary(stel.makespan(), ttft_slo_s=TTFT_SLO_S)

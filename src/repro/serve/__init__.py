@@ -169,10 +169,12 @@ while traffic scales (the path to million-session benches)::
         stay answerable within alpha after the spans are gone
     SpaceSavingTopK / WindowedSketch / ByteBudgetRing
         fixed-budget heavy-hitter attribution, zoomable windowed
-        sketch series, and byte-budgeted exemplar rings;
-        ``EngineTelemetry(streaming=True)`` (or
-        ``Observability(streaming=True)``) runs the token-engine
-        telemetry entirely on these — O(1) memory per event
+        sketch series, and byte-budgeted exemplar rings.  Token-engine
+        telemetry keeps one O(1) accumulator per scalar in either
+        mode; ``EngineTelemetry(streaming=True)`` (or
+        ``Observability(streaming=True)``) also drops its per-event
+        records and sketches its distributions on these — O(1) memory
+        per event
 
 ``benchmarks/bench_observability.py`` gates the plane on a replayed
 fault storm: gap-free span timelines for every completed session,

@@ -309,30 +309,78 @@ class TokenServingEngine:
                 return waiting[priority][0]
         return None
 
-    def _requeue_preempted(
+    def _detach(
         self,
         session: DecodeSession,
-        waiting: Dict[int, Deque[DecodeSession]],
         running: List[DecodeSession],
+        release: bool = True,
     ) -> None:
-        # Decref, never free: shared prefix blocks the victim attached
-        # stay cached for their other readers (and for the victim's own
-        # resume), only its private blocks return to the pool.
-        self.kv.release(session.session_id)
+        """Take ``session`` out of the running batch.
+
+        ``release`` decrefs, never frees: shared prefix blocks the
+        session attached stay cached for their other readers (and for
+        its own resume); only its private blocks return to the pool.
+        KV loss passes ``release=False``, because the destructive
+        ``discard`` upstream already purged what it could.
+        """
+        if release:
+            self.kv.release(session.session_id)
         running.remove(session)
         self._drop_home(session.session_id)
         self._poisoned.discard(session.session_id)
+
+    def _requeue(
+        self,
+        session: DecodeSession,
+        event: str,
+        waiting: Dict[int, Deque[DecodeSession]],
+        running: List[DecodeSession],
+        release: bool = True,
+    ) -> None:
+        """Send a running session back to the head of its class queue.
+
+        ``event`` is ``"preempt"`` (KV pressure or a higher class) or
+        ``"recover"`` (rescued off lost KV).  A recovering session is
+        marked so that its readmission bills the re-prefill to recovery.
+        """
+        self._detach(session, running, release)
         session.status = RequestStatus.PREEMPTED
-        session.preemptions += 1
         session.prefill_done = 0
         session.prefill_target = 0
         waiting.setdefault(session.priority, deque()).appendleft(session)
-        self.telemetry.record_preemption(session)
+        if event == "recover":
+            session.recoveries += 1
+            self._recovering.add(session.session_id)
+            self.telemetry.record_recovery(session)
+        else:
+            session.preemptions += 1
+            self.telemetry.record_preemption(session)
         if self.tracer is not None:
             self._wait_since[session.session_id] = self._now
-            self.tracer.instant(
-                "session", session.session_id, "preempt", self._now
-            )
+            self.tracer.instant("session", session.session_id, event, self._now)
+
+    def _lose(
+        self, session: DecodeSession, status: str, event: str, now: float
+    ) -> None:
+        """Record a session that will never complete.
+
+        ``status`` is ``REJECTED`` (too large for the pool), ``EVICTED``
+        (shed from the waiting queue) or ``FAILED`` (its replica died
+        with recovery off); ``event`` names its tracer instant.  Every
+        loss is an SLO miss for the session's class.
+        """
+        session.status = status
+        if status == RequestStatus.REJECTED:
+            self.telemetry.record_rejection(session)
+        elif status == RequestStatus.EVICTED:
+            self.telemetry.record_shed(session)
+        else:
+            self.telemetry.record_session_failure(session)
+        if self.tracer is not None:
+            self._wait_since.pop(session.session_id, None)
+            self.tracer.instant("session", session.session_id, event, now)
+        if self._slo is not None:
+            self._slo.observe(f"class{session.priority}", now, good=False)
 
     # ------------------------------------------------------------------
     # Session homes (KV locality under faults)
@@ -407,23 +455,21 @@ class TokenServingEngine:
             return  # transient hit an idle fleet: detected, nothing corrupted
         victim = victims[event.target % len(victims)]
         if event.kind == FaultKind.TRANSIENT:
+            # Counted here, when the residue check detects it.  A
+            # corrected fault has no architectural effect.  An
+            # uncorrectable one (more corrupt residue channels than the
+            # redundancy can correct) makes this session's step result
+            # untrusted: the poison mark suppresses its next commit
+            # (token / chunk advance), and the recurrence input is
+            # untouched, so the retried step is bit-identical.
+            self.telemetry.record_transient(event.uncorrectable)
             if event.uncorrectable:
-                # RRNS detected more corrupt residue channels than the
-                # redundancy can correct: the step's result for this
-                # session is untrusted and must be recomputed.  The
-                # poison mark suppresses this step's commit (token /
-                # chunk advance) for the victim — the recurrence input
-                # is untouched, so the retried step is bit-identical.
                 self._poisoned.add(victim.session_id)
-            else:
-                # Detected and corrected in-line by the redundant
-                # residues: no architectural effect, just a counter.
-                self.telemetry.record_transient(uncorrectable=False)
             return
         if event.kind == FaultKind.KV_LOSS:
             lost = self.kv.discard(victim.session_id)
             self.telemetry.record_kv_loss(lost)
-            self._recover(victim, waiting, running, release=False)
+            self._requeue(victim, "recover", waiting, running, release=False)
 
     def _handle_dead_replica(
         self,
@@ -436,60 +482,18 @@ class TokenServingEngine:
         victims = [s for s in running if self._homes.get(s.session_id) == wid]
         for victim in victims:
             if self.config.recovery:
-                self._recover(victim, waiting, running, release=True)
+                # The cache layer survives a replica: a plain release
+                # leaves published prefix blocks cached, so the resumed
+                # session re-prefills only its uncached suffix.
+                self._requeue(victim, "recover", waiting, running)
             else:
-                self.kv.release(victim.session_id)
-                running.remove(victim)
-                self._drop_home(victim.session_id)
-                self._poisoned.discard(victim.session_id)
-                victim.status = RequestStatus.FAILED
-                self.telemetry.record_session_failure(victim)
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "session", victim.session_id, "fail", now
-                    )
-                if self._slo is not None:
-                    self._slo.observe(
-                        f"class{victim.priority}", now, good=False
-                    )
+                self._detach(victim, running)
+                self._lose(victim, RequestStatus.FAILED, "fail", now)
         if self.config.recovery:
             new_wid = self.pool.replace_worker(
                 wid, now, lambda name: self.service.prewarm_latency(name)
             )
             self.telemetry.record_replacement(wid, new_wid)
-
-    def _recover(
-        self,
-        session: DecodeSession,
-        waiting: Dict[int, Deque[DecodeSession]],
-        running: List[DecodeSession],
-        release: bool = True,
-    ) -> None:
-        """Rescue a session off lost KV: requeue at head-of-class.
-
-        A plain ``release`` (dead replica) leaves published prefix
-        blocks cached — the cache layer survives a replica, so the
-        resumed session re-prefills only its uncached suffix.  KV loss
-        uses the destructive ``discard`` upstream (``release=False``
-        here), which purges what it can from the cache too.
-        """
-        if release:
-            self.kv.release(session.session_id)
-        running.remove(session)
-        self._drop_home(session.session_id)
-        self._poisoned.discard(session.session_id)
-        session.status = RequestStatus.PREEMPTED
-        session.recoveries += 1
-        session.prefill_done = 0
-        session.prefill_target = 0
-        waiting.setdefault(session.priority, deque()).appendleft(session)
-        self._recovering.add(session.session_id)
-        self.telemetry.record_recovery(session, 0)
-        if self.tracer is not None:
-            self._wait_since[session.session_id] = self._now
-            self.tracer.instant(
-                "session", session.session_id, "recover", self._now
-            )
 
     def _shed_waiting(
         self, waiting: Dict[int, Deque[DecodeSession]]
@@ -503,17 +507,7 @@ class TokenServingEngine:
         while depth > cap:
             priority = min(p for p, q in waiting.items() if q)
             victim = waiting[priority].pop()
-            victim.status = RequestStatus.EVICTED
-            self.telemetry.record_shed(victim)
-            if self.tracer is not None:
-                self._wait_since.pop(victim.session_id, None)
-                self.tracer.instant(
-                    "session", victim.session_id, "shed", self._now
-                )
-            if self._slo is not None:
-                self._slo.observe(
-                    f"class{victim.priority}", self._now, good=False
-                )
+            self._lose(victim, RequestStatus.EVICTED, "shed", self._now)
             depth -= 1
 
     def _next_fault_horizon(
@@ -556,34 +550,11 @@ class TokenServingEngine:
         every in-flight and waiting session fails instead of stranding
         the loop."""
         for session in list(running):
-            self.kv.release(session.session_id)
-            running.remove(session)
-            self._drop_home(session.session_id)
-            self._poisoned.discard(session.session_id)
-            session.status = RequestStatus.FAILED
-            self.telemetry.record_session_failure(session)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "session", session.session_id, "fail", self._now
-                )
-            if self._slo is not None:
-                self._slo.observe(
-                    f"class{session.priority}", self._now, good=False
-                )
+            self._detach(session, running)
+            self._lose(session, RequestStatus.FAILED, "fail", self._now)
         for q in waiting.values():
             while q:
-                session = q.popleft()
-                session.status = RequestStatus.FAILED
-                self.telemetry.record_session_failure(session)
-                if self.tracer is not None:
-                    self._wait_since.pop(session.session_id, None)
-                    self.tracer.instant(
-                        "session", session.session_id, "fail", self._now
-                    )
-                if self._slo is not None:
-                    self._slo.observe(
-                        f"class{session.priority}", self._now, good=False
-                    )
+                self._lose(q.popleft(), RequestStatus.FAILED, "fail", self._now)
 
     # ------------------------------------------------------------------
     # Admission (prefix attach + prefill scheduling)
@@ -652,9 +623,7 @@ class TokenServingEngine:
             candidate.prefill_done = min(cached, candidate.prefill_target)
             candidate.cached_prompt_tokens += candidate.prefill_done
             if prompt_tokens is not None:
-                self.telemetry.record_prefix(
-                    len(prompt_tokens), candidate.prefill_done
-                )
+                self.telemetry.record_prefix(candidate.prefill_done)
             running.append(candidate)
             admitted.append(candidate)
             if self._injector is not None:
@@ -712,7 +681,7 @@ class TokenServingEngine:
         for victim in victims:
             if self.kv.free_blocks >= need:
                 break
-            self._requeue_preempted(victim, waiting, running)
+            self._requeue(victim, "preempt", waiting, running)
 
     # ------------------------------------------------------------------
     # KV growth (one token per decoding session, preempt under pressure)
@@ -756,7 +725,7 @@ class TokenServingEngine:
                     )
                 else:
                     victim = session
-                self._requeue_preempted(victim, waiting, running)
+                self._requeue(victim, "preempt", waiting, running)
                 if victim is session:
                     break
             else:
@@ -817,16 +786,7 @@ class TokenServingEngine:
                 arrival = sessions[idx]
                 idx += 1
                 if self.kv.blocks_for(arrival.max_context_len) > self.kv.num_blocks:
-                    arrival.status = RequestStatus.REJECTED
-                    self.telemetry.record_rejection(arrival)
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "session", arrival.session_id, "reject", t
-                        )
-                    if self._slo is not None:
-                        self._slo.observe(
-                            f"class{arrival.priority}", t, good=False
-                        )
+                    self._lose(arrival, RequestStatus.REJECTED, "reject", t)
                     continue
                 waiting.setdefault(arrival.priority, deque()).append(arrival)
                 if self.tracer is not None:
@@ -928,9 +888,7 @@ class TokenServingEngine:
             for s, _, q in plan:
                 if s.session_id in self._poisoned:
                     retried.add(s.session_id)
-                    self.telemetry.record_transient(
-                        uncorrectable=True, tokens_retried=q
-                    )
+                    self.telemetry.tokens_retried += q
                     continue
                 s.prefill_done += q
                 # A completed prefill makes its prompt blocks attachable:
@@ -1058,9 +1016,7 @@ class TokenServingEngine:
                 if session.session_id in self._poisoned:
                     if session.session_id not in retried:
                         retried.add(session.session_id)
-                        self.telemetry.record_transient(
-                            uncorrectable=True, tokens_retried=1
-                        )
+                        self.telemetry.tokens_retried += 1
                     continue
                 session.tokens_generated += 1
                 if outputs is not None:
@@ -1102,15 +1058,9 @@ class TokenServingEngine:
                 stall_s=stall_s,
             )
 
-            if cfg.continuous:
+            if cfg.continuous or all(s.finished for s in running):
                 for session in [s for s in running if s.finished]:
-                    self.kv.release(session.session_id)
-                    running.remove(session)
-                    self._drop_home(session.session_id)
-            elif all(s.finished for s in running):
-                for session in running:
-                    self.kv.release(session.session_id)
-                running.clear()
+                    self._detach(session, running)
             t = t_end
 
         return self.telemetry

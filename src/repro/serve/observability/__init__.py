@@ -161,8 +161,9 @@ class Observability:
     baseline configuration the overhead gate compares against.
     ``streaming=True`` asks attached consumers (the engine's
     :class:`~repro.serve.telemetry.EngineTelemetry`) to run in
-    bounded-memory streaming mode: sketch-backed latency aggregation
-    instead of per-event record lists.
+    bounded-memory mode: its scalars come from the same O(1)
+    accumulators either way, but it keeps no per-event records and
+    sketches its latency distributions.
     """
 
     def __init__(

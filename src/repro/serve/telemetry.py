@@ -416,14 +416,6 @@ class _StepRecord:
     stall_s: float = 0.0
 
 
-@dataclass
-class _PrefixRecord:
-    """One admission-time prefix-cache lookup."""
-
-    prompt_tokens: int  # prompt ids presented to the cache
-    cached_tokens: int  # context tokens served from cache (no prefill)
-
-
 class EngineTelemetry:
     """Token-serving metrics: TTFT, TPOT, tokens/s, KV and prefix reuse.
 
@@ -437,20 +429,21 @@ class EngineTelemetry:
     hardware model — the same check the request-level
     :class:`Telemetry` batch records get.
 
-    ``streaming=True`` switches to **bounded-memory** accounting: no
-    per-session/per-step record lists (``sessions``/``rejected``/
-    ``steps`` stay empty, ``ttfts()`` refuses), latency distributions
+    Every scalar (per-class counts, tokens, TPOT, makespan, steps, mean
+    batch, stall, KV occupancy, prefill priced, prefix reuse) folds into
+    one O(1) accumulator as it is recorded, and every scalar reduction
+    reads it, in both modes.  ``streaming=True`` changes two things
+    only.  It keeps no per-event records (``sessions``, ``rejected`` and
+    ``steps`` stay empty, ``ttfts()`` refuses), so telemetry memory
+    stops scaling with traffic (the ``bench_obs_scale`` gate).  And it
+    sketches the distributions: TTFT (overall, and per class in the
+    registry's ``engine_ttft_seconds`` histogram), E2E and step time
     fold into :class:`~repro.serve.observability.sketch.QuantileSketch`
     summaries with relative error ``sketch_alpha``, KV occupancy into a
     fixed-budget :class:`~repro.serve.observability.streaming.WindowedSketch`
     time series, and per-model/class attribution into a
-    :class:`~repro.serve.observability.streaming.SpaceSavingTopK` —
-    every event costs O(1) amortized memory, so telemetry stops scaling
-    with traffic (the ``bench_obs_scale`` gate).  Exact scalar totals
-    (tokens, counts, makespan, stall, prefix stats) are identical to
-    the record-keeping mode; only the distribution summaries carry the
-    declared ``alpha``.  Streaming gauges update their last value
-    without appending the unbounded ``(t, value)`` series.
+    :class:`~repro.serve.observability.streaming.SpaceSavingTopK`.
+    Gauges keep their last value only, in both modes.
     """
 
     def __init__(
@@ -541,7 +534,6 @@ class EngineTelemetry:
         self.steps: List[_StepRecord] = []
         self.preemptions = 0
         self.preemptions_by_class: Counter = Counter()
-        self.prefix_records: List[_PrefixRecord] = []
         # Fault/recovery plane (PR 6) — all zero on fault-free runs.
         self.faults_injected: Counter = Counter()  # by FaultKind
         self.faults_corrected = 0
@@ -555,9 +547,13 @@ class EngineTelemetry:
         self.replica_crashes = 0
         self.replicas_replaced = 0
         self.health_transitions: List[Dict] = []
-        # Streaming-mode accumulators: O(1) state per event, replacing
-        # the record lists above (which stay empty in streaming mode).
-        alpha = self.sketch_alpha
+        # One accumulator per scalar, in both modes.
+        self._sessions_by_class: Counter = Counter()
+        self._rejected_by_class: Counter = Counter()
+        self._tokens_total = 0
+        self._tpot_span = 0.0
+        self._tpot_lanes = 0
+        self._last_finish = 0.0
         self._steps_n = 0
         self._active_total = 0
         self._stall_total = 0.0
@@ -565,27 +561,20 @@ class EngineTelemetry:
         self._kv_occ_total = 0.0
         self._kv_peak_blocks = 0
         self._prefill_priced = 0
+        self._prefix_lookups = 0
+        self._prefix_hits = 0
+        self._prefix_saved = 0
+        # Streaming mode's distribution sketches.
+        alpha = self.sketch_alpha
         self._step_sketch = QuantileSketch(alpha=alpha)
         self._kv_windows = WindowedSketch(
             window_s=1e-9, max_windows=64, alpha=alpha
         )
-        self._sessions_n = 0
-        self._sessions_by_class: Counter = Counter()
-        self._rejected_n = 0
-        self._rejected_by_class: Counter = Counter()
-        self._tokens_total = 0
-        self._tpot_span = 0.0
-        self._tpot_tokens = 0
-        self._last_finish = 0.0
         self._ttft_sketch = QuantileSketch(alpha=alpha)
         self._ttft_total = 0.0
         self._ttft_sq_total = 0.0
-        self._ttft_by_class: Dict[int, QuantileSketch] = {}
         self._e2e_sketch = QuantileSketch(alpha=alpha)
         self._attribution = SpaceSavingTopK(16)
-        self._prefix_lookups = 0
-        self._prefix_hits = 0
-        self._prefix_saved = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -602,58 +591,72 @@ class EngineTelemetry:
         kv_occupancy: float,
         stall_s: float = 0.0,
     ) -> int:
-        """Record one engine step; returns its index in ``steps`` (the
-        id the scheduler stamps on the step's phase spans, closing the
-        span→telemetry causal join the critical-path analysis uses)."""
+        """Record one engine step; returns its index (its position in
+        ``steps`` in exact mode), the id the scheduler stamps on the
+        step's phase spans, closing the span→telemetry causal join the
+        critical-path analysis uses."""
+        index = self._steps_n
+        self._steps_n += 1
+        self._active_total += int(active)
+        self._stall_total += float(stall_s)
+        occupancy = float(kv_occupancy)
+        if occupancy > self._kv_peak_occ:
+            self._kv_peak_occ = occupancy
+        self._kv_occ_total += occupancy
+        blocks = int(kv_blocks)
+        if blocks > self._kv_peak_blocks:
+            self._kv_peak_blocks = blocks
+        for _, chunk_len in prefill_chunks:
+            self._prefill_priced += int(chunk_len)
         if self.streaming:
-            index = self._steps_n
-            self._steps_n += 1
-            self._active_total += int(active)
-            self._stall_total += float(stall_s)
-            occupancy = float(kv_occupancy)
-            if occupancy > self._kv_peak_occ:
-                self._kv_peak_occ = occupancy
-            self._kv_occ_total += occupancy
-            blocks = int(kv_blocks)
-            if blocks > self._kv_peak_blocks:
-                self._kv_peak_blocks = blocks
-            for _, chunk_len in prefill_chunks:
-                self._prefill_priced += int(chunk_len)
             self._step_sketch.add(float(step_s))
             self._kv_windows.add(t, occupancy)
-            self._m_steps.labels(model).inc()
-            # Last-value only: the (t, value) gauge series would grow
-            # with the step count, defeating the memory bound.
-            self._m_kv_occupancy.labels().set(kv_occupancy)
-            self._m_batch_active.labels().set(active)
-            if stall_s > 0.0:
-                self._m_stall.labels().inc(stall_s)
-            return index
-        index = len(self.steps)
-        self.steps.append(
-            _StepRecord(
-                t,
-                model,
-                len(context_lens),
-                active,
-                tuple(context_lens),
-                tuple((int(c), int(q)) for c, q in prefill_chunks),
-                step_s,
-                kv_blocks,
-                kv_occupancy,
-                stall_s=stall_s,
+        else:
+            self.steps.append(
+                _StepRecord(
+                    t,
+                    model,
+                    len(context_lens),
+                    active,
+                    tuple(context_lens),
+                    tuple((int(c), int(q)) for c, q in prefill_chunks),
+                    step_s,
+                    kv_blocks,
+                    kv_occupancy,
+                    stall_s=stall_s,
+                )
             )
-        )
         self._m_steps.labels(model).inc()
-        self._m_kv_occupancy.labels().set(kv_occupancy, t=t)
-        self._m_batch_active.labels().set(active, t=t)
+        self._m_kv_occupancy.labels().set(kv_occupancy)
+        self._m_batch_active.labels().set(active)
         if stall_s > 0.0:
             self._m_stall.labels().inc(stall_s)
         return index
 
     def record_session(self, session) -> None:
+        priority = int(session.priority)
+        tokens = int(session.tokens_generated)
+        finish = float(session.finish_time)
+        self._sessions_by_class[priority] += 1
+        self._tokens_total += tokens
+        if finish > self._last_finish:
+            self._last_finish = finish
+        tpot = session.tpot
+        if tpot is not None:
+            lanes = session.decode_len - 1
+            self._tpot_span += float(tpot) * lanes
+            self._tpot_lanes += lanes
         if self.streaming:
-            self._fold_session(session)
+            self._e2e_sketch.add(finish - float(session.arrival_time))
+            ttft = session.ttft
+            if ttft is not None:
+                ttft = float(ttft)
+                self._ttft_sketch.add(ttft)
+                self._ttft_total += ttft
+                self._ttft_sq_total += ttft * ttft
+            self._attribution.add(
+                f"{session.model}/class{priority}", weight=max(1, tokens)
+            )
         else:
             self.sessions.append(session)
         self._m_sessions.labels(session.model, session.priority).inc()
@@ -661,45 +664,9 @@ class EngineTelemetry:
         if session.ttft is not None:
             self._m_ttft.observe(session.ttft, str(session.priority))
 
-    def _fold_session(self, session) -> None:
-        """Streaming-mode completion: fold, never retain the session."""
-        priority = int(session.priority)
-        self._sessions_n += 1
-        self._sessions_by_class[priority] += 1
-        tokens = int(session.tokens_generated)
-        self._tokens_total += tokens
-        fin = session.finish_time
-        if fin is not None:
-            fin = float(fin)
-            if fin > self._last_finish:
-                self._last_finish = fin
-            self._e2e_sketch.add(fin - float(session.arrival_time))
-        ttft = session.ttft
-        if ttft is not None:
-            ttft = float(ttft)
-            self._ttft_sketch.add(ttft)
-            self._ttft_total += ttft
-            self._ttft_sq_total += ttft * ttft
-            by_class = self._ttft_by_class.get(priority)
-            if by_class is None:
-                by_class = self._ttft_by_class[priority] = QuantileSketch(
-                    alpha=self.sketch_alpha
-                )
-            by_class.add(ttft)
-        tpot = session.tpot
-        if tpot is not None:
-            lanes = session.decode_len - 1
-            self._tpot_span += float(tpot) * lanes
-            self._tpot_tokens += lanes
-        self._attribution.add(
-            f"{session.model}/class{priority}", weight=max(1, tokens)
-        )
-
     def record_rejection(self, session) -> None:
-        if self.streaming:
-            self._rejected_n += 1
-            self._rejected_by_class[int(session.priority)] += 1
-        else:
+        self._rejected_by_class[int(session.priority)] += 1
+        if not self.streaming:
             self.rejected.append(session)
         self._m_rejected.labels(session.priority).inc()
 
@@ -708,43 +675,41 @@ class EngineTelemetry:
         self.preemptions_by_class[session.priority] += 1
         self._m_preemptions.labels(session.priority).inc()
 
-    def record_prefix(self, prompt_tokens: int, cached_tokens: int) -> None:
-        """One admission's prefix-cache outcome (lookups only — an
-        engine with caching disabled records nothing here)."""
-        if self.streaming:
-            self._prefix_lookups += 1
-            if cached_tokens > 0:
-                self._prefix_hits += 1
-            self._prefix_saved += int(cached_tokens)
-            return
-        self.prefix_records.append(_PrefixRecord(prompt_tokens, cached_tokens))
+    def record_prefix(self, cached_tokens: int) -> None:
+        """One admission's prefix-cache lookup, ``cached_tokens`` of its
+        context served from cache (an engine with caching disabled
+        records nothing here)."""
+        self._prefix_lookups += 1
+        if cached_tokens > 0:
+            self._prefix_hits += 1
+        self._prefix_saved += int(cached_tokens)
 
     def record_fault(self, kind: str) -> None:
         """One injected fault event applied to the engine."""
         self.faults_injected[kind] += 1
         self._m_faults.labels(kind).inc()
 
-    def record_transient(self, uncorrectable: bool, tokens_retried: int = 0) -> None:
-        """One RRNS-detected transient compute fault.
+    def record_transient(self, uncorrectable: bool) -> None:
+        """One RRNS-detected transient compute fault, counted when the
+        residue check detects it.
 
         Corrected faults cost nothing (the redundant residues absorb
-        them); uncorrectable ones poison the affected session's step
-        output, which is discarded and recomputed — ``tokens_retried``
-        counts that discarded work.
+        them); an uncorrectable one poisons the affected session's step
+        output, which is discarded and recomputed.  The scheduler adds
+        that discarded work to ``tokens_retried`` when it discards it.
         """
         if uncorrectable:
             self.faults_uncorrectable += 1
-            self.tokens_retried += tokens_retried
             self._m_transients.labels("uncorrectable").inc()
         else:
             self.faults_corrected += 1
             self._m_transients.labels("corrected").inc()
 
-    def record_recovery(self, session, reprefill_tokens: int) -> None:
+    def record_recovery(self, session) -> None:
         """A session rescued off a dead replica (or lost KV) and
-        requeued; ``reprefill_tokens`` is the context it must rebuild."""
+        requeued; the context it must rebuild is added to
+        ``recovery_reprefill_tokens`` when it is readmitted."""
         self.sessions_recovered += 1
-        self.recovery_reprefill_tokens += int(reprefill_tokens)
         self._m_recovered.labels().inc()
 
     def record_session_failure(self, session) -> None:
@@ -757,12 +722,7 @@ class EngineTelemetry:
         """A waiting session shed to protect higher classes under
         capacity loss; also counts as a rejection for SLO purposes."""
         self.sessions_shed += 1
-        if self.streaming:
-            self._rejected_n += 1
-            self._rejected_by_class[int(session.priority)] += 1
-        else:
-            self.rejected.append(session)
-        self._m_rejected.labels(session.priority).inc()
+        self.record_rejection(session)
 
     def record_kv_loss(self, blocks: int) -> None:
         self.kv_blocks_lost += int(blocks)
@@ -786,22 +746,16 @@ class EngineTelemetry:
     # Reductions
     # ------------------------------------------------------------------
     def classes_seen(self) -> List[int]:
-        if self.streaming:
-            seen = set(self._sessions_by_class)
-            seen.update(self._rejected_by_class)
-            return sorted(seen)
-        seen = {s.priority for s in self.sessions}
-        seen.update(s.priority for s in self.rejected)
-        return sorted(seen)
+        return sorted(set(self._sessions_by_class) | set(self._rejected_by_class))
 
     def sessions_count(self) -> int:
-        return self._sessions_n if self.streaming else len(self.sessions)
+        return sum(self._sessions_by_class.values())
 
     def rejected_count(self) -> int:
-        return self._rejected_n if self.streaming else len(self.rejected)
+        return sum(self._rejected_by_class.values())
 
     def steps_count(self) -> int:
-        return self._steps_n if self.streaming else len(self.steps)
+        return self._steps_n
 
     def ttfts(self, priority: Optional[int] = None) -> List[float]:
         if self.streaming:
@@ -817,9 +771,7 @@ class EngineTelemetry:
         ]
 
     def tokens_generated(self) -> int:
-        if self.streaming:
-            return self._tokens_total
-        return sum(s.tokens_generated for s in self.sessions)
+        return self._tokens_total
 
     def tokens_per_s(self, horizon_s: float) -> float:
         if horizon_s <= 0:
@@ -827,66 +779,28 @@ class EngineTelemetry:
         return self.tokens_generated() / horizon_s
 
     def makespan(self) -> float:
-        if self.streaming:
-            return self._last_finish
-        if not self.sessions:
-            return 0.0
-        return max(s.finish_time for s in self.sessions)
+        return self._last_finish
 
     def mean_tpot(self) -> float:
         """Pooled time-per-output-token after the first, across sessions."""
-        if self.streaming:
-            if not self._tpot_tokens:
-                return 0.0
-            return self._tpot_span / self._tpot_tokens
-        span = 0.0
-        tokens = 0
-        for s in self.sessions:
-            if s.tpot is None:
-                continue
-            steps = s.decode_len - 1
-            span += s.tpot * steps
-            tokens += steps
-        return span / tokens if tokens else 0.0
+        return self._tpot_span / self._tpot_lanes if self._tpot_lanes else 0.0
 
     def mean_batch_size(self) -> float:
-        if self.streaming:
-            if not self._steps_n:
-                return 0.0
-            return self._active_total / self._steps_n
-        if not self.steps:
-            return 0.0
-        return sum(r.active for r in self.steps) / len(self.steps)
+        return self._active_total / self._steps_n if self._steps_n else 0.0
 
     def kv_stats(self) -> Dict[str, float]:
-        if self.streaming:
-            if not self._steps_n:
-                return {
-                    "peak_occupancy": 0.0,
-                    "mean_occupancy": 0.0,
-                    "peak_blocks": 0,
-                }
-            return {
-                "peak_occupancy": self._kv_peak_occ,
-                "mean_occupancy": self._kv_occ_total / self._steps_n,
-                "peak_blocks": self._kv_peak_blocks,
-            }
-        if not self.steps:
-            return {"peak_occupancy": 0.0, "mean_occupancy": 0.0, "peak_blocks": 0}
-        occ = [r.kv_occupancy for r in self.steps]
+        steps = self._steps_n
         return {
-            "peak_occupancy": float(max(occ)),
-            "mean_occupancy": float(np.mean(occ)),
-            "peak_blocks": max(r.kv_blocks for r in self.steps),
+            "peak_occupancy": self._kv_peak_occ,
+            "mean_occupancy": self._kv_occ_total / steps if steps else 0.0,
+            "peak_blocks": self._kv_peak_blocks,
         }
 
     def prefill_tokens_priced(self) -> int:
         """Prompt/context tokens whose prefill GEMMs were actually
         scheduled (sum of every step's chunk lengths) — what the prefix
         cache shrinks relative to the tokens sessions *needed* resident."""
-        if self.streaming:
-            return self._prefill_priced
-        return sum(q for r in self.steps for _, q in r.prefill_chunks)
+        return self._prefill_priced
 
     def prefix_stats(self) -> Dict[str, float]:
         """Shared-prefix cache effectiveness at the token level.
@@ -897,30 +811,12 @@ class EngineTelemetry:
         ``hit_rate`` is the fraction of cache lookups that reused at
         least one token.  Engines with caching disabled report zeros.
         """
-        if self.streaming:
-            saved = self._prefix_saved
-            priced = self.prefill_tokens_priced()
-            lookups = self._prefix_lookups
-            return {
-                "lookups": lookups,
-                "hit_rate": (self._prefix_hits / lookups) if lookups else 0.0,
-                "prefill_tokens_saved": saved,
-                "prefill_tokens_priced": priced,
-                "cached_token_fraction": (
-                    saved / (saved + priced) if saved + priced else 0.0
-                ),
-            }
-        saved = sum(r.cached_tokens for r in self.prefix_records)
-        priced = self.prefill_tokens_priced()
-        lookups = len(self.prefix_records)
+        saved = self._prefix_saved
+        priced = self._prefill_priced
+        lookups = self._prefix_lookups
         return {
             "lookups": lookups,
-            "hit_rate": (
-                sum(1 for r in self.prefix_records if r.cached_tokens > 0)
-                / lookups
-                if lookups
-                else 0.0
-            ),
+            "hit_rate": (self._prefix_hits / lookups) if lookups else 0.0,
             "prefill_tokens_saved": saved,
             "prefill_tokens_priced": priced,
             "cached_token_fraction": (
@@ -970,36 +866,29 @@ class EngineTelemetry:
         TTFT is within relative ``alpha`` of ``slo_s`` itself can be
         counted on the wrong side.
         """
+        if priority is None:
+            shed = self.rejected_count()
+        else:
+            shed = self._rejected_by_class.get(int(priority), 0)
         if self.streaming:
             if priority is None:
                 sketch = self._ttft_sketch
-                shed = self._rejected_n
             else:
-                sketch = self._ttft_by_class.get(int(priority))
-                shed = self._rejected_by_class.get(int(priority), 0)
+                sketch = self._class_ttft_sketch(priority)
             n = sketch.count if sketch is not None else 0
-            total = n + shed
-            if total == 0:
-                return 1.0
             met = sketch.cdf(slo_s) * n if n else 0.0
-            return met / total
-        ttfts = self.ttfts(priority=priority)
-        shed = sum(
-            1
-            for s in self.rejected
-            if priority is None or s.priority == priority
-        )
-        total = len(ttfts) + shed
+        else:
+            ttfts = self.ttfts(priority=priority)
+            n = len(ttfts)
+            met = sum(1 for v in ttfts if v <= slo_s + 1e-15)
+        total = n + shed
         if total == 0:
             return 1.0
-        met = sum(1 for v in ttfts if v <= slo_s + 1e-15)
         return met / total
 
     def stall_time(self) -> float:
         """Total wall time lost to degraded (slow) workers."""
-        if self.streaming:
-            return self._stall_total
-        return float(sum(r.stall_s for r in self.steps))
+        return self._stall_total
 
     def unavailability_windows(self) -> List[Dict[str, float]]:
         """Per-worker fail→dead detection windows from the transitions."""
@@ -1100,8 +989,8 @@ class EngineTelemetry:
                     + self._e2e_sketch.byte_size()
                     + self._step_sketch.byte_size()
                     + sum(
-                        self._ttft_by_class[p].byte_size()
-                        for p in self._ttft_by_class
+                        child.sketch.byte_size()
+                        for child in self._m_ttft.children()
                     )
                 ),
                 "attribution_topk": self._attribution.to_dict(),
@@ -1127,20 +1016,8 @@ class EngineTelemetry:
             if classes != [0]:
                 out["per_class"] = {
                     str(p): {
-                        "sessions": (
-                            self._sessions_by_class.get(p, 0)
-                            if self.streaming
-                            else sum(
-                                1 for s in self.sessions if s.priority == p
-                            )
-                        ),
-                        "rejected": (
-                            self._rejected_by_class.get(p, 0)
-                            if self.streaming
-                            else sum(
-                                1 for s in self.rejected if s.priority == p
-                            )
-                        ),
+                        "sessions": self._sessions_by_class.get(p, 0),
+                        "rejected": self._rejected_by_class.get(p, 0),
                         "preemptions": self.preemptions_by_class.get(p, 0),
                         "ttft_p99_s": self._class_ttft_p99(p),
                         "ttft_slo_attainment": self.ttft_slo_attainment(
@@ -1151,9 +1028,20 @@ class EngineTelemetry:
                 }
         return out
 
+    def _class_ttft_sketch(self, priority: int) -> Optional[QuantileSketch]:
+        """Streaming mode's TTFT sketch of one class: the registry
+        histogram's child, looked up without ``labels()``, which would
+        create an empty child (a new Prometheus line) for a class that
+        has only rejections."""
+        label = (str(int(priority)),)
+        for child in self._m_ttft.children():
+            if child.labels == label:
+                return child.sketch
+        return None
+
     def _class_ttft_p99(self, priority: int) -> float:
         if self.streaming:
-            sketch = self._ttft_by_class.get(int(priority))
+            sketch = self._class_ttft_sketch(priority)
             if sketch is None or not sketch.count:
                 return 0.0
             return sketch.percentile(99.0)

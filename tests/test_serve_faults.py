@@ -376,6 +376,48 @@ class TestEngineRecovery:
             for got, want in zip(s.outputs, reference[s.session_id]):
                 assert np.array_equal(got, want)
 
+    def test_uncorrectable_transients_counted_when_detected(self):
+        # Two uncorrectable faults hit the one running session before
+        # its next commit: both are detected, one step is retried.
+        scen = Scenario("decode", ((0.0, "m0", 0, 6, 8),), 1e-9)
+        t = make_engine(replicas=1).run(scen, seed=0).steps[3].t
+        plan = FaultPlan(
+            tuple(
+                FaultEvent(t, FaultKind.TRANSIENT, target=0, severity=1.0)
+                for _ in range(2)
+            )
+        )
+        tel = make_engine(replicas=1).run(scen, seed=0, faults=plan)
+        assert tel.faults_injected[FaultKind.TRANSIENT] == 2
+        assert tel.faults_uncorrectable == 2
+        assert tel.tokens_retried == 1
+
+    def test_dense_storm_counts_every_transient_on_a_running_session(self):
+        # Double hits and preemptions of poisoned sessions are both
+        # common here; neither may drop a detected transient.
+        arrivals = tuple(
+            (i * 2e-8, "m0", (0, 1, 3)[i % 3], 6, 8) for i in range(24)
+        )
+        scen = Scenario("decode", arrivals, 4.8e-7)
+        makespan = make_engine(blocks=16).run(scen, seed=0).makespan()
+        plan = FaultPlan.transient_storm(
+            0.0, makespan, 300 / makespan, p_uncorrectable=1.0, seed=3
+        )
+        engine = make_engine(blocks=16)
+        hits = []
+        orig = engine._apply_fault
+
+        def counting(event, now, waiting, running):
+            if event.kind == FaultKind.TRANSIENT and running:
+                hits.append(event)
+            orig(event, now, waiting, running)
+
+        engine._apply_fault = counting
+        tel = engine.run(scen, seed=0, faults=plan)
+        assert tel.preemptions > 0
+        assert len(hits) > tel.steps_count()
+        assert tel.faults_corrected + tel.faults_uncorrectable == len(hits)
+
     def test_kv_loss_forces_recovery_and_reprefill(self):
         engine = make_engine()
         plan = FaultPlan((FaultEvent(4e-7, FaultKind.KV_LOSS, target=0),))

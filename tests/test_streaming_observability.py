@@ -20,6 +20,7 @@ from repro.serve import (
     fleet_rollup,
     parse_prometheus_text,
     report_to_markdown,
+    shared_prefix_scenario,
 )
 from repro.serve.observability import (
     ByteBudgetRing,
@@ -64,6 +65,55 @@ def decode_trace(n=12, spacing=1e-7, prompt=6, decode=8):
         (i * spacing, "m0", i % 3, prompt, decode) for i in range(n)
     )
     return Scenario("decode", arrivals, n * spacing + 1e-9)
+
+
+def prefix_storm():
+    """Three classes sharing a system prompt under a fault storm."""
+    scenario = shared_prefix_scenario(
+        "m0",
+        rate=2e7,
+        duration=1.5e-6,
+        prefix_len=12,
+        shared_fraction=0.8,
+        suffix_median=4,
+        decode_mean=6,
+        class_mix={0: 2, 1: 1, 3: 1},
+        suffix_max=10,
+        decode_max=12,
+        seed=9,
+    )
+    plan = FaultPlan.replica_kills([(4e-7, 0)]).merge(
+        FaultPlan.transient_storm(
+            3e-7, 1.2e-6, 4e7, p_uncorrectable=0.5, seed=4, kv_loss_share=0.2
+        )
+    )
+    return scenario, plan
+
+
+# Every field of summary(..., ttft_slo_s) that is not a distribution.
+SCALAR_FIELDS = (
+    "sessions",
+    "rejected",
+    "tokens",
+    "tokens_per_s",
+    "tpot_s",
+    "steps",
+    "mean_batch_size",
+    "preemptions",
+    "kv",
+    "prefix",
+    "faults",
+)
+CLASS_FIELDS = ("sessions", "rejected", "preemptions")
+
+
+def scalar_fields(summary):
+    out = {key: summary.get(key) for key in SCALAR_FIELDS}
+    out["per_class"] = {
+        p: {key: row[key] for key in CLASS_FIELDS}
+        for p, row in summary.get("per_class", {}).items()
+    }
+    return out
 
 
 class FakeSession:
@@ -345,26 +395,52 @@ class TestTailSamplerOnEngine:
 # Streaming (O(1) memory) engine telemetry
 # ----------------------------------------------------------------------
 class TestStreamingTelemetry:
-    def _pair(self, n=30):
-        scenario = decode_trace(n=n)
-        exact = make_engine(observability=Observability(tracing=False)).run(
-            scenario, seed=2
-        )
+    def _pair(self, scenario=None, faults=None, **engine_kw):
+        scenario = scenario or decode_trace(n=30)
+        exact = make_engine(
+            observability=Observability(tracing=False), **engine_kw
+        ).run(scenario, seed=2, faults=faults)
         sobs = Observability(tracing=False, streaming=True)
-        stream = make_engine(observability=sobs).run(scenario, seed=2)
+        stream = make_engine(observability=sobs, **engine_kw).run(
+            scenario, seed=2, faults=faults
+        )
         return exact, stream, sobs
 
     def test_counts_match_exact_mode(self):
-        exact, stream, _ = self._pair()
-        assert stream.streaming
-        assert not stream.sessions and not stream.steps
-        assert stream.sessions_count() == len(exact.sessions)
-        assert stream.steps_count() == len(exact.steps)
-        assert stream.tokens_generated() == exact.tokens_generated()
-        assert stream.makespan() == exact.makespan()
-        assert stream.mean_batch_size() == exact.mean_batch_size()
-        with pytest.raises(ValueError):
-            stream.ttfts()
+        cases = (
+            (decode_trace(n=30), None, 256),
+            (*prefix_storm(), 256),
+            # Occupancies in twentieths: the summation order shows.
+            (decode_trace(n=30), None, 20),
+        )
+        for scenario, faults, blocks in cases:
+            exact, stream, _ = self._pair(scenario, faults, blocks=blocks)
+            assert stream.streaming
+            assert not stream.sessions and not stream.steps
+            horizon = max(scenario.duration_s, exact.makespan())
+            assert scalar_fields(
+                stream.summary(horizon, ttft_slo_s=1e-5)
+            ) == scalar_fields(exact.summary(horizon, ttft_slo_s=1e-5))
+            # The accumulators against scans of the exact-mode records.
+            assert stream.sessions_count() == len(exact.sessions)
+            assert stream.steps_count() == len(exact.steps)
+            assert stream.tokens_generated() == sum(
+                s.tokens_generated for s in exact.sessions
+            )
+            assert stream.makespan() == max(
+                s.finish_time for s in exact.sessions
+            )
+            assert stream.mean_batch_size() == sum(
+                r.active for r in exact.steps
+            ) / len(exact.steps)
+            occupancy = 0.0
+            for r in exact.steps:
+                occupancy += r.kv_occupancy
+            mean_occupancy = occupancy / len(exact.steps)
+            assert exact.kv_stats()["mean_occupancy"] == mean_occupancy
+            assert stream.kv_stats()["mean_occupancy"] == mean_occupancy
+            with pytest.raises(ValueError):
+                stream.ttfts()
 
     def test_sketched_quantiles_within_alpha(self):
         exact, stream, _ = self._pair()
