@@ -36,6 +36,7 @@ HEADLINES = (
         (
             ("speedup_vs_seed/gemm_512x512x256", ">= seed (budget gate)"),
             ("current_s/gemm_512x512x256", "<= budget_s"),
+            ("current_s/weight_static_96x48x16", "decode-layer call (s)"),
             ("budget_s", "REPRO_BENCH_BUDGET"),
         ),
     ),

@@ -5,12 +5,14 @@ the tier-1 suite stays fast.  Run them with ``--runslow`` or
 ``REPRO_FULL=1``; the explicit benchmark modules under ``benchmarks/``
 additionally honour ``REPRO_SMOKE=1`` for a tiny-shape fast pass.
 
-The serving benchmark scripts (``bench_serving`` / ``bench_autoscale`` /
-``bench_continuous``) are also collected **into the default test tier in
+The bench scripts named in ``SMOKE_BENCHES`` (the core GEMM bench
+``bench_core_perf``, whose smoke pass asserts bit-exactness against the
+BFP reference, and the serving benches ``bench_serving`` …
+``bench_obs_scale``) are also collected **into the default test tier in
 smoke mode**: ``bench_*.py`` files do not match pytest's default test
 patterns, so without this the scripts only ever ran when someone invoked
 them explicitly — an easy way for them to silently rot.  The default
-(no-flag) run forces ``REPRO_SMOKE=1`` and pulls the three modules into
+(no-flag) run forces ``REPRO_SMOKE=1`` and pulls those modules into
 collection; committed ``BENCH_*.json`` regeneration stays gated behind
 ``REPRO_FULL=1`` (which disables the smoke forcing).
 
@@ -27,6 +29,7 @@ import pytest
 
 # Bench scripts exercised (in smoke mode) by the plain test tier.
 SMOKE_BENCHES = (
+    "bench_core_perf.py",
     "bench_serving.py",
     "bench_autoscale.py",
     "bench_continuous.py",

@@ -133,14 +133,16 @@ def _round_groups(
     axis: int,
     config: BFPConfig,
     noise: Optional[np.ndarray],
-) -> np.ndarray:
-    """Write the mantissae of ``x``'s groups into ``out``; return the exponents.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Write the mantissae of ``x``'s groups into ``out``; return the
+    exponents and the group maxima of ``|x|``.
 
     Each group runs along ``axis`` of the views ``x`` and ``out`` (every
     other axis indexes groups); ``out`` must not overlap ``x``.  The
-    exponents keep ``axis`` with length 1, so ``np.ldexp(out, exps - bm)``
-    dequantises in place.  ``noise`` holds the uniform draws of stochastic
-    rounding in ``x``'s layout.
+    exponents and maxima keep ``axis`` with length 1, so
+    ``np.ldexp(out, exps - bm)`` dequantises in place.  A group holding a
+    NaN has a NaN maximum.  ``noise`` holds the uniform draws of
+    stochastic rounding in ``x``'s layout.
     """
     absmax = _group_max(np.abs(x, out=out), axis)
     # frexp: |v| = frac * 2^e with frac in [0.5, 1), so every scaled
@@ -164,7 +166,7 @@ def _round_groups(
     if config.rounding != "truncate" or not finite:
         limit = float(config.mantissa_range)
         np.clip(out, -limit, limit, out=out)
-    return exps
+    return exps, absmax
 
 
 def _encode_grouped(
@@ -174,12 +176,17 @@ def _encode_grouped(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Integer mantissae and exponents of the groups on the last axis of
     ``grouped``, the zero-padded ``(..., num_groups, g)`` layout that
-    :func:`encode_groups` and :func:`repro.bfp.bfp_encode_matrix` return."""
+    :func:`encode_groups` and :func:`repro.bfp.bfp_encode_matrix` return.
+
+    NaN has no integer mantissa, so a NaN operand raises ``ValueError``.
+    """
     noise = None
     if config.rounding == "stochastic":
         noise = resolve_rng(rng).random(grouped.shape)
     mant = np.empty_like(grouped)
-    exps = _round_groups(grouped, mant, grouped.ndim - 1, config, noise)
+    exps, absmax = _round_groups(grouped, mant, grouped.ndim - 1, config, noise)
+    if np.isnan(absmax).any():
+        raise ValueError("cannot BFP-encode NaN: the operand holds a NaN")
     return mant.astype(np.int64), exps[..., 0].astype(np.int64)
 
 
@@ -261,7 +268,7 @@ def quantize_tensor(
         width = min(g, hi - lo)
         index = (slice(None),) * axis + (slice(lo, hi),)
         view = _split_axis(out[index], axis, width)
-        exps = _round_groups(
+        exps, _ = _round_groups(
             _split_axis(arr[index], axis, width),
             view,
             axis + 1,

@@ -14,20 +14,26 @@ whole GEMM at once.
     this is :meth:`PhotonicRnsTensorCore.program`, and the result can be
     cached so weight-static workloads (inference, multi-input streaming)
     re-stream activations without re-encoding weights (steps 4),
-5.  execute every modular MVM of every tile as a single batched phase
-    computation on the photonic device model
-    (:meth:`~repro.photonic.mdpu.RnsMMVMU.mvm_grouped` — the noiseless
-    path computes the phase *sums* directly as chunked integer matmuls
-    and wraps once; the noise path perturbs the physical phases with the
-    summed per-digit variance) (step 5),
+5.  execute every modular MVM of every tile in one batched pass.  The
+    noiseless path folds the CRT weights into the input residues, so the
+    ``n`` modular GEMMs *and* the CRT accumulation (steps 5-7) become one
+    matmul of the ``(G, R, n*g)`` weight residues with the ``(G, n*g, C)``
+    weighted input residues, emitting unreduced sums as a C-contiguous
+    ``(G, R, C)`` tensor.  The noise path perturbs the physical phases
+    on the device model
+    (:meth:`~repro.photonic.mdpu.RnsMMVMU.mvm_grouped`) with the summed
+    per-digit variance (step 5),
 6.  digitise via the I/Q detectors' ADCs — one vectorised detection over
-    the full ``(n, G, T, C, v)`` output (step 6),
-7.  reverse-convert all residues to signed integers with a single CRT
-    call (step 7),
-8.  rebuild FP values with the exponent path and accumulate partial
-    outputs in FP32 fashion (float64 here), group by group, in the same
-    order as the BFP reference so float accumulation is bit-identical
-    (steps 8-9),
+    the full ``(n, G, T, C, v)`` output (noise path, step 6),
+7.  reverse-convert to signed integers: the noiseless path performs every
+    2π wrap and the signed range mapping in one step,
+    ``ints -= rint(ints / M) * M``; the noise path runs a single CRT call
+    and lays its result out as the same ``(G, R, C)`` tensor (step 7),
+8.  rebuild FP values with the exponent path: one int32 exponent tensor
+    ``e_w + e_x - 2 bm`` scales every group at once (``ints * 2^e``), and
+    the groups are then added in ascending order into a zeroed output —
+    the float64 operation order of the BFP reference, so accumulation is
+    bit-identical (steps 8-9),
 9.  (nonlinearities stay outside the core, as in the paper).
 
 In the noiseless configuration the result is **bit-exact** against
@@ -81,19 +87,19 @@ class ProgrammedWeights:
     (``G`` K-groups, ``T`` row tiles of ``v`` rows), and a copy of the
     source matrix so callers can cheaply validate cache entries.
 
-    ``fused`` additionally holds the tiles repacked as a
-    ``(G, n*g, T*v)`` float64 tensor for the noiseless fast path, where
-    the modular GEMMs of all ``n`` channels *and* the CRT accumulation
-    collapse into a single batched matmul (see ``_execute``); ``None``
-    when the core is noisy or the reduction would leave float64's exact
-    integer range.
+    ``fused`` additionally holds the residues as a ``(G, R, n*g)`` float64
+    tensor (real weight rows only, no padding rows) for the noiseless
+    fast path, where the modular GEMMs of all ``n`` channels *and* the
+    CRT accumulation collapse into one batched matmul that emits the
+    ``(G, R, C)`` output (see ``_execute``); ``None`` when the core is
+    noisy or the reduction would leave float64's exact integer range.
     """
 
     shape: Tuple[int, int]
     residues: np.ndarray  # (n, G, T, v, g) int64
     exponents: np.ndarray  # (R, G) int64
     source: np.ndarray  # (R, K) float64 copy for cache validation
-    fused: Optional[np.ndarray] = None  # (G, n*g, T*v) float64
+    fused: Optional[np.ndarray] = None  # (G, R, n*g) float64
 
     @property
     def num_groups(self) -> int:
@@ -151,7 +157,7 @@ class PhotonicRnsTensorCore:
             for m, w in zip(self.mset.moduli, crt_w)
         )
         self._fused_ok = bound < (1 << 53)
-        self._crt_col = np.array(crt_w, dtype=np.int64).reshape(-1, 1, 1, 1)
+        self._crt_col = np.array(crt_w, dtype=np.int64).reshape(-1, 1, 1)
 
     # ------------------------------------------------------------------
     # Stats (consumed by examples / tests)
@@ -200,11 +206,11 @@ class PhotonicRnsTensorCore:
         self._tiles_programmed += num_groups * row_tiles
         fused = None
         if self._fused_ok and self.engine.is_ideal:
-            # (n, G, T, v, g) -> (G, n*g, T*v): channel and digit axes
-            # merge into one reduction axis for the fused CRT matmul.
-            fused = tiles.transpose(1, 0, 4, 2, 3).astype(
+            # (n, R, G, g) -> (G, R, n*g): channel and digit axes merge
+            # into one reduction axis for the fused CRT matmul.
+            fused = w_res.transpose(2, 1, 0, 3).astype(
                 np.float64, order="C"
-            ).reshape(num_groups, self.mset.n * cfg.g, row_tiles * cfg.v)
+            ).reshape(num_groups, r, self.mset.n * cfg.g)
         return ProgrammedWeights(
             (r, w.shape[1]), tiles, w_exp, w.copy(), fused
         )
@@ -283,48 +289,47 @@ class PhotonicRnsTensorCore:
         x_res = forward_convert_signed(x_mant, self.mset)  # (n, C, G, g)
 
         # Steps 5-7: every modular MVM of every tile in one batched pass,
-        # then one reverse conversion over the full output tensor.
+        # then one reverse conversion into the (G, R, C) output tensor.
         self._mvm_cycles += num_groups * row_tiles * c
+        scratch = np.empty((num_groups, r, c))
         if pw.fused is not None and self.engine.is_ideal:
             # Noiseless fused path.  ``Σ_i r_i M_i T_i ≡ X (mod M)`` holds
             # for *unreduced* ``r_i ≡ x_i (mod m_i)``, so scaling the input
             # residues by their CRT weight and concatenating the channel
             # axes turns the n modular GEMMs + CRT accumulation into one
-            # batched matmul; a single final mod performs every 2π wrap.
-            xw = (x_res * self._crt_col).transpose(2, 1, 0, 3)  # (G, C, n, g)
-            xt = xw.astype(np.float64, order="C").reshape(
-                num_groups, c, self.mset.n * cfg.g
-            )
-            acc = np.matmul(xt, pw.fused)  # (G, C, T*v), exact integers
+            # batched matmul of exact, non-negative integers.
+            xt = np.multiply(
+                x_res.transpose(2, 0, 3, 1), self._crt_col, dtype=np.float64, order="C"
+            ).reshape(num_groups, self.mset.n * cfg.g, c)  # (G, n*g, C)
+            ints = np.matmul(pw.fused, xt)  # (G, R, C)
+            # Every 2π wrap and the signed mapping in one step.  Eq. 13
+            # gives |dot| < M/2 with a margin, and the sums are exact below
+            # 2^53, so the quotient is off by less than 1/M and ``rint``
+            # lands on the true multiple q of M without meeting a tie; q*M,
+            # a multiple of 2^k, is exact too.
             big_m = float(self.mset.dynamic_range)
-            q = acc / big_m
-            np.floor(q, out=q)
-            acc -= q * big_m
-            # Correctly-rounded division can land one unit high at the
-            # boundary; fix up, then apply the signed range mapping.
-            np.add(acc, big_m, out=acc, where=acc < 0)
-            hi = float(self.mset.dynamic_range - 1 - self.mset.psi)
-            np.subtract(acc, big_m, out=acc, where=acc > hi)
-            ints = acc  # (G, C, T*v) signed float64
+            np.divide(ints, big_m, out=scratch)
+            np.rint(scratch, out=scratch)
+            scratch *= big_m
+            ints -= scratch
         else:
             res_out = self.engine.mvm_grouped(pw.residues, x_res)  # (n, G, C, T, v)
-            ints = to_signed(_crt(res_out, self.mset), self.mset).astype(
-                np.float64
-            )  # (G, C, T, v)
+            ints = to_signed(_crt(res_out, self.mset), self.mset).astype(np.float64)
+            # (G, C, T, v) -> (G, R, C), dropping the padding rows.
+            ints = ints.reshape(num_groups, c, -1)[:, :, :r].transpose(0, 2, 1)
 
-        # Fold (T, v) back into the padded row axis and drop padding rows.
-        ints = ints.reshape(num_groups, c, row_tiles * cfg.v)[:, :, :r]
-
-        # Steps 8-9: exponent scale + accumulate.  Groups are accumulated
-        # in ascending order with one fused scale each — the same float64
-        # operation order as bfp_matmul_exact, keeping bit-exactness.
-        out = np.zeros((r, c), dtype=np.float64)
-        shift = -2 * cfg.bm
-        for gi in range(num_groups):
-            scale = np.ldexp(
-                1.0, (x_exp[:, gi][:, None] + pw.exponents[:, gi][None, :]) + shift
-            )  # (C, R)
-            out += (ints[gi] * scale).T
+        # Steps 8-9: scale every group by its exponent pair at once, then
+        # accumulate the groups in ascending order into zeros — the same
+        # float64 operations, in the same order, as bfp_matmul_exact.
+        # int32 exponents keep ldexp on its fast loop; both operands are
+        # contiguous so the broadcast sum is too.
+        w_e = np.ascontiguousarray(pw.exponents.T, dtype=np.int32)  # (G, R)
+        x_e = np.ascontiguousarray(x_exp.T, dtype=np.int32) - 2 * cfg.bm  # (G, C)
+        np.ldexp(1.0, w_e[:, :, None] + x_e[:, None, :], out=scratch)
+        ints *= scratch
+        out = np.zeros((r, c))
+        for part in ints:
+            out += part
         return out
 
 

@@ -91,13 +91,12 @@ def forward_convert(values, mset: ModuliSet) -> np.ndarray:
     channel per modulus): ``out[i] = values mod m_i``.
     """
     arr = _as_int_array(values)
+    if arr.dtype != object:
+        return np.mod(arr, mset.as_array().reshape((-1,) + (1,) * arr.ndim))
     out = np.empty((mset.n,) + arr.shape, dtype=np.int64)
     for i, m in enumerate(mset.moduli):
-        if arr.dtype == object:
-            flat = np.array([int(v) % m for v in arr.ravel()], dtype=np.int64)
-            out[i] = flat.reshape(arr.shape)
-        else:
-            out[i] = np.mod(arr, np.int64(m))
+        flat = np.array([int(v) % m for v in arr.ravel()], dtype=np.int64)
+        out[i] = flat.reshape(arr.shape)
     return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +72,7 @@ class ModuliSet:
     """
 
     moduli: Tuple[int, ...]
+    _m: int = field(init=False, repr=False, compare=False)
     _mi: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _ti: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     _mr_inv: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -89,9 +89,10 @@ class ModuliSet:
             bad = [(a, b) for a, b, g in _gcd_all_pairs(mods) if g != 1]
             raise ValueError(f"moduli must be pairwise co-prime; offending pairs: {bad}")
         object.__setattr__(self, "moduli", mods)
-        big_m = reduce(lambda a, b: a * b, mods, 1)
+        big_m = math.prod(mods)
         mi = tuple(big_m // m for m in mods)
         ti = tuple(pow(mi_k % m, -1, m) for mi_k, m in zip(mi, mods))
+        object.__setattr__(self, "_m", big_m)
         object.__setattr__(self, "_mi", mi)
         object.__setattr__(self, "_ti", ti)
         mr_inv = tuple(
@@ -114,7 +115,7 @@ class ModuliSet:
     @property
     def dynamic_range(self) -> int:
         """``M = prod(m_i)`` — the count of uniquely representable integers."""
-        return reduce(lambda a, b: a * b, self.moduli, 1)
+        return self._m
 
     @property
     def dynamic_range_bits(self) -> float:

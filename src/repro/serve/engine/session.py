@@ -96,7 +96,7 @@ class DecodeModelProfile:
         raise ValueError(f"model {self.name!r} has no Linear layer")
 
 
-@dataclass
+@dataclass(eq=False)
 class DecodeSession:
     """One autoregressive generation request and its engine-side state.
 
@@ -104,7 +104,9 @@ class DecodeSession:
     for "last sampled token"); it survives preemption, so a resumed
     session continues its exact token stream while the *analytic* model
     charges it the KV re-prefill.  Timing fields are simulated-clock
-    seconds filled in by the scheduler.
+    seconds filled in by the scheduler.  Sessions compare and hash by
+    identity, so the scheduler's ``in`` and ``remove`` find the very
+    object without comparing fields.
     """
 
     session_id: int

@@ -68,7 +68,7 @@ class RequestStatus:
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(eq=False)
 class InferenceRequest:
     """One inference call: an input row destined for a named model.
 
@@ -77,6 +77,7 @@ class InferenceRequest:
     when the batch it rode in completes.  ``priority`` is the request's
     class (higher = more important); the default ``Priority.BATCH`` keeps
     single-class deployments identical to the pre-priority runtime.
+    Requests compare and hash by identity, never by field values.
     """
 
     request_id: int

@@ -87,6 +87,12 @@ class TestEncodeDecode:
         near = encode_groups(vec, BFPConfig(4, 16, "nearest")).decode()
         assert np.abs(near - vec).mean() <= np.abs(trunc - vec).mean()
 
+    @pytest.mark.parametrize("rounding", ["truncate", "nearest", "stochastic"])
+    def test_nan_raises(self, rounding):
+        cfg = BFPConfig(4, 4, rounding)
+        with pytest.raises(ValueError, match="NaN"):
+            encode_groups([1.0, np.nan, 2.0, 3.0], cfg, np.random.default_rng(0))
+
     def test_stochastic_rounding_unbiased(self):
         cfg = BFPConfig(2, 4, "stochastic")
         rng = np.random.default_rng(0)
@@ -156,6 +162,13 @@ class TestBfpGemm:
         mant, exp = bfp_encode_matrix(rng.normal(size=(5, 33)), cfg)
         assert mant.shape == (5, 3, 16)
         assert exp.shape == (5, 3)
+
+    def test_exact_gemm_rejects_nan(self, rng):
+        w = rng.normal(size=(3, 20))
+        x = rng.normal(size=(20, 2))
+        x[5, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            bfp_matmul_exact(w, x, BFPConfig(4, 16))
 
     def test_encode_matrix_rejects_1d(self):
         with pytest.raises(ValueError):

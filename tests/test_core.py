@@ -17,6 +17,42 @@ from repro.nn import Conv2d, Flatten, Linear, ReLU, Sequential, Tensor
 from repro.photonic import NoiseModel
 
 
+# The noiseless configs: the design point, bm=3 at k_min, bm=5 with g=8,
+# nearest rounding, and a set that takes the reduce-then-CRT path.
+ORACLE_CONFIGS = (
+    CoreConfig(),
+    CoreConfig(bm=3, k=None, v=8),
+    CoreConfig(bm=5, g=8),
+    CoreConfig(rounding="nearest"),
+    CoreConfig(bm=8, g=4, k=12, v=4),
+)
+# Binary exponent ranges (rows, columns) an operand is scaled over: none,
+# +-300 decades in total, or rows far below 2^(bm - 1023).
+MAGNITUDES = (((0, 0), (0, 0)), ((-500, 500), (-500, 500)), ((-1074, -1020), (0, 0)))
+
+
+@st.composite
+def _gemm_cases(draw):
+    """A noiseless config, ragged ``w`` and ``x`` (signed zeros and inf
+    sprinkled in), and a column split."""
+    config = draw(st.sampled_from(ORACLE_CONFIGS))
+    r, k, c = draw(st.integers(1, 70)), draw(st.integers(1, 80)), draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    operands = []
+    for shape in ((r, k), (k, c)):
+        (r_lo, r_hi), (c_lo, c_hi) = draw(st.sampled_from(MAGNITUDES))
+        exps = gen.integers(r_lo, r_hi + 1, size=(shape[0], 1)) + gen.integers(
+            c_lo, c_hi + 1, size=(1, shape[1])
+        )
+        a = np.ldexp(gen.normal(size=shape), exps)
+        a[gen.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        a[gen.random(shape) < draw(st.sampled_from([0.0, 0.2]))] = -0.0
+        inf = gen.random(shape) < draw(st.sampled_from([0.0, 0.05]))
+        a[inf] = np.copysign(np.inf, gen.normal(size=int(inf.sum())))
+        operands.append(a)
+    return (config, *operands, draw(st.integers(0, c)))
+
+
 class TestCoreConfig:
     def test_default_is_paper_design_point(self):
         cfg = CoreConfig()
@@ -92,6 +128,24 @@ class TestBitExactness:
         with pytest.raises(ValueError):
             core.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_operands_raise(self, rng):
+        core = PhotonicRnsTensorCore()
+        w = rng.normal(size=(6, 20))
+        x = rng.normal(size=(20, 3))
+        w_nan, x_nan = w.copy(), x.copy()
+        w_nan[2, 7] = np.nan
+        x_nan[11, 0] = np.nan
+        for call in (
+            lambda: core.matmul(w_nan, x),
+            lambda: core.matmul(w, x_nan),
+            lambda: core.program(w_nan),
+            lambda: core.matmul_programmed(core.program(w), x_nan),
+            lambda: core.matmul_many(w, [x, x_nan]),
+        ):
+            with pytest.raises(ValueError, match="NaN"):
+                call()
+
     def test_stats_counters(self, rng):
         core = PhotonicRnsTensorCore(CoreConfig(v=8))
         core.matmul(rng.normal(size=(16, 32)), rng.normal(size=(32, 5)))
@@ -101,19 +155,19 @@ class TestBitExactness:
         core.reset_stats()
         assert core.tiles_programmed == 0
 
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_bit_exactness_property(self, seed):
-        rng = np.random.default_rng(seed)
-        core = PhotonicRnsTensorCore(CoreConfig(v=8))
-        r = int(rng.integers(1, 20))
-        k = int(rng.integers(1, 50))
-        c = int(rng.integers(1, 6))
-        w = rng.normal(size=(r, k)) * 10.0 ** rng.integers(-3, 4)
-        x = rng.normal(size=(k, c))
-        assert np.array_equal(
-            core.matmul(w, x), bfp_matmul_exact(w, x, BFPConfig(4, 16))
-        )
+    @given(_gemm_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_bit_exactness_property(self, case):
+        """Every entry point equals ``bfp_matmul_exact`` byte for byte."""
+        config, w, x, split = case
+        core = PhotonicRnsTensorCore(config)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = bfp_matmul_exact(w, x, config.bfp()).tobytes()
+            assert core.matmul(w, x).tobytes() == ref
+            pw = core.program(w)
+            assert core.matmul_programmed(pw, x).tobytes() == ref
+            parts = core.matmul_many(w, [x[:, :split], x[:, split:]])
+        assert np.concatenate(parts, axis=1).tobytes() == ref
 
 
 class TestNoisyCore:

@@ -271,6 +271,20 @@ class TestDecodeSession:
             assert np.array_equal(s1.x, s2.x)
         assert a[0].priority == 0 and a[1].priority == 2
 
+    def test_sessions_compare_by_identity(self):
+        # Two builds of one scenario give sessions with equal fields; value
+        # equality would compare their ``x`` rows and raise.
+        prof = profile()
+        sc = session_scenario([(0.0, 0, 4, 3), (1e-8, 2, 5, 2)])
+        a = build_sessions(prof, sc, seed=3)[0]
+        b = build_sessions(prof, sc, seed=3)[0]
+        assert a == a and a != b
+        assert b not in [a]
+        running = [a, b]
+        running.remove(b)
+        assert len(running) == 1 and running[0] is a
+        assert len({a, b}) == 2
+
     def test_build_sessions_wrong_model_raises(self):
         prof = profile()
         sc = Scenario("decode", ((0.0, "other", 0, 2, 2),), 1e-9)

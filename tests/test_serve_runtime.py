@@ -80,6 +80,19 @@ class TestClock:
             clk.advance_by(-1.0)
 
 
+class TestInferenceRequest:
+    def test_requests_compare_by_identity(self):
+        # Equal fields; value equality would compare the ``x`` rows and raise.
+        a = InferenceRequest(0, "m", np.zeros(2), 0.0)
+        b = InferenceRequest(0, "m", np.zeros(2), 0.0)
+        assert a == a and a != b
+        assert b not in [a]
+        queue = [a, b]
+        queue.remove(b)
+        assert len(queue) == 1 and queue[0] is a
+        assert len({a, b}) == 2
+
+
 class TestAdmissionQueue:
     def test_bounded_admission(self):
         q = AdmissionQueue(capacity=2)
