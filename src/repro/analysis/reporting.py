@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "print_table", "print_series"]
+__all__ = ["format_table", "format_series", "print_table"]
 
 
 def format_table(
@@ -55,7 +55,3 @@ def format_series(
 
 def print_table(*args, **kwargs) -> None:
     print(format_table(*args, **kwargs))
-
-
-def print_series(*args, **kwargs) -> None:
-    print(format_series(*args, **kwargs))

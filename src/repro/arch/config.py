@@ -9,8 +9,7 @@ reprogramming time per tile.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from ..rns.moduli import ModuliSet, special_moduli_set
@@ -139,6 +138,3 @@ class SystolicConfig:
     @property
     def peak_macs_per_s(self) -> float:
         return self.macs_per_cycle * self.fmt.clock_hz
-
-    def with_num_arrays(self, num_arrays: int) -> "SystolicConfig":
-        return SystolicConfig(self.fmt, max(1, num_arrays), self.rows, self.cols)

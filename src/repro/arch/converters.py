@@ -18,13 +18,9 @@ scaling.
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
     "adc_energy_per_conversion",
     "dac_energy_per_conversion",
-    "adc_power",
-    "dac_power",
     "fig1b_series",
 ]
 
@@ -55,16 +51,6 @@ def dac_energy_per_conversion(bits: int) -> float:
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     return _DAC_COEFF * 2**bits
-
-
-def adc_power(bits: int, sample_rate_hz: float) -> float:
-    """Average ADC power at a given conversion rate (W)."""
-    return adc_energy_per_conversion(bits) * sample_rate_hz
-
-
-def dac_power(bits: int, sample_rate_hz: float) -> float:
-    """Average DAC power at a given conversion rate (W)."""
-    return dac_energy_per_conversion(bits) * sample_rate_hz
 
 
 def fig1b_series(max_bits: int = 16):

@@ -52,12 +52,6 @@ class Schedule:
     assignments: Tuple[Tuple[str, str, str], ...]  # (layer, role, dataflow)
     total_latency: float
 
-    def dataflow_for(self, layer: str, role: str) -> str:
-        for lname, lrole, df in self.assignments:
-            if lname == layer and lrole == role:
-                return df
-        raise KeyError(f"no assignment for ({layer}, {role})")
-
     def histogram(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for _, _, df in self.assignments:

@@ -22,7 +22,6 @@ Construction (the standard one-hot modular unit):
   ``{2^k-1, 2^k, 2^k+1}`` needs no such restriction.
 
 :class:`OneHotModularUnit` simulates the stage-by-stage routing;
-:class:`DnnaraCostModel` counts devices, area and energy;
 :func:`scaling_comparison` tabulates DNNARA vs Mirage device counts as the
 modulus grows (the paper's scalability argument).
 """
@@ -30,34 +29,18 @@ modulus grows (the paper's scalability argument).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-
-from ..photonic import constants as PC
 
 __all__ = [
     "is_prime",
     "find_generator",
-    "prime_moduli_set",
     "OneHotModularUnit",
-    "DnnaraCostModel",
     "mirage_mmu_device_count",
     "dnnara_mac_device_count",
     "scaling_comparison",
 ]
-
-# Representative 2x2 MZI switch metrics (DNNARA builds its networks from
-# broadband 2x2 MZI switches; these are typical silicon-photonic figures,
-# used for order-of-magnitude area/energy — the *scaling* with the modulus
-# is the reproduced claim, Table III carries DNNARA's published end-to-end
-# numbers).
-MZI_SWITCH_LENGTH = 300e-6  # m
-MZI_SWITCH_WIDTH = 50e-6  # m
-MZI_SWITCH_AREA = MZI_SWITCH_LENGTH * MZI_SWITCH_WIDTH  # m^2
-MZI_SWITCH_ENERGY = 0.5e-12  # J per reconfiguration (thermo-optic-free drive)
-MZI_SWITCH_LOSS_DB = 0.15  # insertion loss per traversed switch
 
 
 def is_prime(n: int) -> bool:
@@ -99,31 +82,6 @@ def find_generator(p: int) -> int:
     raise ArithmeticError(f"no generator found for {p}")  # pragma: no cover
 
 
-def prime_moduli_set(target_bits: float, max_candidates: int = 64) -> Tuple[int, ...]:
-    """Descending primes whose product reaches ``target_bits`` of range.
-
-    The moduli set a DNNARA-style design would pick to match a given
-    dynamic range (Mirage's special set is not all-prime, so the two
-    architectures cannot share one).
-    """
-    if target_bits <= 0:
-        raise ValueError("target_bits must be positive")
-    chosen: List[int] = []
-    bits = 0.0
-    candidate = 2**8 - 1  # keep residues within 8 bits, like the paper's era
-    while bits < target_bits and candidate >= 2:
-        if is_prime(candidate):
-            chosen.append(candidate)
-            bits += math.log2(candidate)
-        candidate -= 1
-        if len(chosen) >= max_candidates:
-            raise ValueError(f"cannot reach {target_bits} bits with "
-                             f"{max_candidates} primes below 256")
-    if bits < target_bits:
-        raise ValueError(f"cannot reach {target_bits} bits")
-    return tuple(chosen)
-
-
 class OneHotModularUnit:
     """Functional model of one DNNARA routing network for modulus ``m``.
 
@@ -156,11 +114,6 @@ class OneHotModularUnit:
     def switch_count(self) -> int:
         """2x2 switches in the network: ``lines`` per stage."""
         return self._lines * self.stages
-
-    @property
-    def worst_case_loss_db(self) -> float:
-        """Loss for light traversing every stage."""
-        return self.stages * MZI_SWITCH_LOSS_DB
 
     # ------------------------------------------------------------------
     def _rotate(self, index: np.ndarray, amount: np.ndarray) -> np.ndarray:
@@ -207,45 +160,6 @@ def dnnara_mac_device_count(modulus: int) -> Dict[str, int]:
         1, math.ceil(math.log2(max(2, modulus - 1))))
     return {"mul_switches": mul_count, "add_switches": add.switch_count,
             "total": mul_count + add.switch_count}
-
-
-@dataclass(frozen=True)
-class DnnaraCostModel:
-    """Area / energy / loss for a DNNARA-style core at a given modulus.
-
-    ``wdm_factor`` wavelengths share one network (the paper's parallelism
-    lever); device count is unchanged, throughput multiplies.
-    """
-
-    modulus: int
-    wdm_factor: int = 1
-
-    def __post_init__(self):
-        if self.wdm_factor < 1:
-            raise ValueError("wdm_factor must be >= 1")
-
-    @property
-    def devices_per_mac(self) -> int:
-        return dnnara_mac_device_count(self.modulus)["total"]
-
-    @property
-    def area_per_mac(self) -> float:
-        """m^2 of switches serving one MAC-per-cycle slot."""
-        return self.devices_per_mac * MZI_SWITCH_AREA / self.wdm_factor
-
-    @property
-    def energy_per_mac(self) -> float:
-        """J per MAC: every stage's switch row is reconfigured per op."""
-        mul_stages = max(1, math.ceil(math.log2(max(2, self.modulus - 1))))
-        add_stages = max(1, math.ceil(math.log2(self.modulus)))
-        switches_toggled = (self.modulus - 1) * mul_stages + self.modulus * add_stages
-        return switches_toggled * MZI_SWITCH_ENERGY / self.wdm_factor
-
-    @property
-    def worst_case_loss_db(self) -> float:
-        mul_stages = max(1, math.ceil(math.log2(max(2, self.modulus - 1))))
-        add_stages = max(1, math.ceil(math.log2(self.modulus)))
-        return (mul_stages + add_stages) * MZI_SWITCH_LOSS_DB
 
 
 def scaling_comparison(moduli: Optional[Sequence[int]] = None) -> List[Dict[str, float]]:

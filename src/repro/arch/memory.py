@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 from .config import MirageConfig
 
-__all__ = ["ResourceDemand", "MemorySystemModel", "pipeline_stage_names"]
+__all__ = ["ResourceDemand", "MemorySystemModel"]
 
 _STAGES = (
     "sram_read",
@@ -33,11 +33,6 @@ _STAGES = (
     "rns_bns",
     "accumulate",
 )
-
-
-def pipeline_stage_names():
-    """Names of the modelled digital pipeline stages."""
-    return _STAGES
 
 
 @dataclass(frozen=True)

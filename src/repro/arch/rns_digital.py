@@ -27,8 +27,8 @@ runnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -134,16 +134,6 @@ class OpCounters:
         self.overflows += other.overflows
         self.reverse_conversions += other.reverse_conversions
         self.forward_conversions += other.forward_conversions
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "modular_macs": self.modular_macs,
-            "rescales": self.rescales,
-            "sign_detections": self.sign_detections,
-            "overflows": self.overflows,
-            "reverse_conversions": self.reverse_conversions,
-            "forward_conversions": self.forward_conversions,
-        }
 
 
 class _RnsMlpBase:

@@ -21,11 +21,10 @@ compute units), and the achievable throughput is
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .config import MirageConfig, SystolicConfig
+from .config import MirageConfig
 from .tiling import map_gemm
 from .workloads import LayerShape, TrainingGemm, training_gemms
 
@@ -34,7 +33,6 @@ __all__ = [
     "gemm_traffic_bytes",
     "gemm_intensity",
     "mirage_bandwidth",
-    "systolic_bandwidth",
     "RooflinePoint",
     "roofline_point",
     "workload_roofline",
@@ -90,13 +88,6 @@ def mirage_bandwidth(config: MirageConfig, line_words: Optional[int] = None) -> 
     return words_per_s * BYTES_PER_VALUE
 
 
-def systolic_bandwidth(config: SystolicConfig) -> float:
-    """Edge bandwidth of the systolic baseline: one word per row and per
-    column per cycle (input skew + output drain)."""
-    words_per_s = config.num_arrays * (config.rows + config.cols) * config.fmt.clock_hz
-    return words_per_s * BYTES_PER_VALUE
-
-
 @dataclass(frozen=True)
 class RooflinePoint:
     """One GEMM's position on the roofline."""
@@ -111,11 +102,6 @@ class RooflinePoint:
     @property
     def memory_bound(self) -> bool:
         return self.bandwidth_bound < self.peak_macs_per_s
-
-    @property
-    def efficiency(self) -> float:
-        """Fraction of peak the memory system permits."""
-        return self.attainable / self.peak_macs_per_s
 
 
 def roofline_point(

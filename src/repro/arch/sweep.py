@@ -10,9 +10,8 @@ workload mixes or device assumptions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..rns.moduli import choose_k_min
 from .area import mirage_total_area
@@ -52,10 +51,6 @@ class DesignPoint:
     @property
     def effective_macs_per_s(self) -> float:
         return self.peak_macs_per_s * self.utilization
-
-    @property
-    def effective_macs_per_joule(self) -> float:
-        return 1.0 / self.energy_per_mac * self.utilization
 
     def dominates(self, other: "DesignPoint") -> bool:
         """Pareto dominance on (energy/MAC ↓, area ↓, eff. throughput ↑)."""

@@ -14,11 +14,10 @@ Utilisation has two components the paper's Fig. 6 sweeps expose:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable
 
-from .workloads import GemmShape, LayerShape, TrainingGemm, training_gemms
+from .workloads import GemmShape, LayerShape, training_gemms
 
 __all__ = ["TileMapping", "map_gemm", "spatial_utilization", "workload_utilization"]
 
@@ -71,15 +70,6 @@ class TileMapping:
     @property
     def useful_macs(self) -> int:
         return self.gemm.macs
-
-    @property
-    def padded_macs(self) -> int:
-        """MACs if every tile cell were busy for every stream cycle."""
-        return self.tiles * self.v * self.g * self.stream_len
-
-    @property
-    def fill(self) -> float:
-        return self.useful_macs / self.padded_macs
 
 
 def map_gemm(gemm: GemmShape, v: int, g: int, stationary: str = "first") -> TileMapping:

@@ -4,10 +4,10 @@ Every gate this repo ships — bit-exact decode vs batch-1, byte-identical
 seeded fault-storm replays, exact analytic cross-checks — rests on
 properties no runtime test asserts directly: nothing on a simulated path
 reads the wall clock or an unseeded RNG, layers only import downward,
-and timestamp comparisons in ``serve/`` go through the relative-
-tolerance clock helpers.  This package machine-checks those invariants
-on every ``pytest`` run (see ``tests/test_checks_gate.py``) and from the
-command line::
+timestamp comparisons in ``serve/`` go through the relative-tolerance
+clock helpers, and every public name in ``src/`` has a caller.  This
+package machine-checks those invariants on every ``pytest`` run (see
+``tests/test_checks_gate.py``) and from the command line::
 
     PYTHONPATH=src python -m repro.checks src               # strict
     PYTHONPATH=src python -m repro.checks tests benchmarks --profile relaxed
@@ -28,8 +28,8 @@ Architecture
 ``registry`` / ``astutil``
     Rule registration (``@rule(id, description, scope)``) and the
     per-file :class:`~repro.checks.registry.ModuleContext` handed to
-    module-scope rules; project-scope rules (layering) see all files at
-    once.
+    module-scope rules; project-scope rules (layering, dead code) see
+    all files at once.
 ``rules``
     The rule set, one module per category:
 
@@ -47,6 +47,16 @@ Architecture
       ``serve.clock.time_at_or_before`` (PR 3's epsilon bug, encoded).
     * **hygiene** — mutable default args, bare ``except``, assert-as-
       input-validation, module-level side effects, shadowed builtins.
+    * **dead code** — ``dead-public-name``: a public top-level function
+      or class under ``src/``, or a public method of a top-level class,
+      whose name nothing in ``src/``, ``benchmarks/``, ``examples/`` or
+      ``perfbench/`` references.  A reference is a ``Name``, an
+      attribute, the original name in an aliased import, or a segment of
+      a dotted-identifier string (perfbench boundary targets,
+      ``getattr`` names); ``__all__``, plain re-exports, docstrings and
+      ``tests/`` are not callers, and ``@rule(...)``-style call
+      decorators count as use.  It matches by name only: one use of a
+      name keeps every definition of that name alive.
 ``waivers``
     Inline escape hatch: ``# repro: waive[rule-id] -- reason`` on the
     offending line.  The reason is mandatory (``waiver-missing-reason``)

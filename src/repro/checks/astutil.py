@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional
 
-__all__ = ["dotted_name", "terminal_name", "contains_call_to", "walk_functions"]
+__all__ = ["dotted_name", "terminal_name", "contains_call_to"]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -44,9 +44,3 @@ def contains_call_to(node: ast.AST, names: tuple) -> bool:
             if callee is not None and callee.split(".")[-1] in names:
                 return True
     return False
-
-
-def walk_functions(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

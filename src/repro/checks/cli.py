@@ -23,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.checks",
         description=(
             "Repo-specific static analysis: determinism, layering, "
-            "clock discipline and hygiene rules over stdlib ast."
+            "clock discipline, hygiene and dead-code rules over stdlib ast."
         ),
     )
     parser.add_argument(

@@ -82,15 +82,6 @@ class ModuleContext:
         """True when this file lives under any of the path fragments."""
         return any(frag in self.rel_path for frag in fragments)
 
-    def first_package(self) -> Optional[str]:
-        """First package component below the configured layer root."""
-        if not self.module:
-            return None
-        parts = self.module.split(".")
-        if parts[0] != self.config.layer_root or len(parts) < 2:
-            return None
-        return parts[1]
-
 
 @dataclass
 class RuleSpec:

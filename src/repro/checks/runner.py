@@ -110,9 +110,15 @@ def run_checks(
     }
     findings = apply_waivers(findings, waivers_by_file)
     if use_baseline:
-        findings = apply_baseline(
-            findings, load_baseline(config.baseline_path())
-        )
+        # Only entries this run could have matched can go stale: a run
+        # over tests/ leaves the grandfathered src/ entries alone.
+        checked = {ctx.rel_path for ctx in contexts}
+        baseline = load_baseline(config.baseline_path())
+        for key in list(baseline):
+            rule_id, path, _ = key
+            if path not in checked or rule_id in disabled:
+                del baseline[key]
+        findings = apply_baseline(findings, baseline)
     return Report(
         profile=profile,
         findings=sorted(findings),

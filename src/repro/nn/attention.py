@@ -117,16 +117,6 @@ class KVCacheSpec:
             raise ValueError(f"context_len must be >= 0, got {context_len}")
         return context_len * self.bytes_per_token
 
-    @classmethod
-    def for_attention(
-        cls,
-        attn: "MultiHeadAttention",
-        num_layers: int,
-        bytes_per_element: int = 2,
-    ) -> "KVCacheSpec":
-        """Spec matching a :class:`MultiHeadAttention` stacked ``num_layers`` deep."""
-        return cls(num_layers, attn.num_heads, attn.head_dim, bytes_per_element)
-
 
 class MultiHeadAttention(Module):
     """Multi-head scaled dot-product attention."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..determinism import resolve_rng
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "normal_"]
+__all__ = ["kaiming_uniform"]
 
 
 def kaiming_uniform(
@@ -21,25 +21,3 @@ def kaiming_uniform(
     rng = resolve_rng(rng)
     bound = 1.0 / math.sqrt(max(1, fan_in))
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_uniform(
-    shape: Tuple[int, ...],
-    fan_in: int,
-    fan_out: int,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Glorot uniform init: U(-sqrt(6/(fan_in+fan_out)), +...)."""
-    rng = resolve_rng(rng)
-    bound = math.sqrt(6.0 / max(1, fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def normal_(
-    shape: Tuple[int, ...],
-    std: float = 0.02,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Zero-mean Gaussian init."""
-    rng = resolve_rng(rng)
-    return rng.normal(0.0, std, size=shape)

@@ -8,7 +8,7 @@ naturally: :class:`Module` with recursive parameter discovery,
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "BatchNorm1d",
     "LayerNorm",
     "Embedding",
-    "Identity",
 ]
 
 
@@ -137,11 +136,6 @@ class Sequential(Module):
 
     def append(self, layer: Module) -> None:
         self.layers.append(layer)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
 
 
 class Linear(Module):

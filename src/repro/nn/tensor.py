@@ -15,11 +15,11 @@ summing gradients over broadcast axes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -37,10 +37,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

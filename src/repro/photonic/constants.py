@@ -9,8 +9,6 @@ share (Fig. 9) — see EXPERIMENTS.md for the calibration note.
 
 from __future__ import annotations
 
-import math
-
 # ---------------------------------------------------------------------
 # Physical constants
 # ---------------------------------------------------------------------
@@ -81,8 +79,3 @@ EFFECTIVE_BYPASS_LOSS_DB = 0.05
 def db_to_linear(db: float) -> float:
     """Convert a dB loss to a linear power ratio >= 1."""
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    """Convert a linear power ratio to dB."""
-    return 10.0 * math.log10(ratio)

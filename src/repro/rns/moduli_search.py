@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .moduli import ModuliSet, pairwise_coprime, required_output_bits, special_moduli_set
+from .moduli import ModuliSet, required_output_bits, special_moduli_set
 
 __all__ = [
     "greedy_coprime_set",
@@ -95,12 +95,6 @@ class SearchPoint:
     max_residue_bits: int
     dynamic_range_bits: float
     special_equivalent_k: Optional[int]
-
-    @property
-    def is_special_compatible(self) -> bool:
-        """Whether a shift-friendly special set matches this point's
-        channel count and residue precision."""
-        return self.special_equivalent_k is not None
 
 
 def _special_k_matching(target_bits: float, max_bits: int) -> Optional[int]:

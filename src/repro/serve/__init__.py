@@ -28,7 +28,7 @@ and one repricer of their telemetry, the attribution profiler):
   where a request is a :class:`~repro.serve.engine.DecodeSession` whose
   KV state grows with every generated token::
 
-      decode_scenario / shared_prefix / fewshot_pool / multiturn
+      decode_scenario / shared_prefix / multiturn
                               │ (per priority class waiting queues)
                               ▼ admit (KV blocks permitting)
       TokenServingEngine ── re-forms the running batch EVERY step:
@@ -84,8 +84,9 @@ simulated clock::
         ▼ recovery
     request-level: in-flight work on the failed worker is stranded,
         hedged back to the queue head at *suspect*, and the worker is
-        replaced at *dead* (RetryPolicy: per-request deadlines, retry
-        budgets); the replacement pays the weight-reprogram charge.
+        replaced at *dead*, always (RetryPolicy sets only per-request
+        deadlines and retry budgets); the replacement pays the
+        weight-reprogram charge.
     token-level: sessions are *homed* to a replica (KV locality);
         sessions homed on a dead replica are preempted, their KV freed,
         and they resume elsewhere re-prefilling only the suffix the
@@ -151,7 +152,7 @@ functions of a finished run, never touched on the hot path::
     everything ──> build_flight_report / report_to_markdown
         the one-stop deterministic post-run artifact: config, trace
         volume, critical-path rollup, bit-exact hardware attribution,
-        SLO attainment — as JSON and markdown
+        SLO attainment — as a JSON-safe dict and as markdown
 
 A **bounded-memory streaming layer** keeps observability cost fixed
 while traffic scales (the path to million-session benches)::
@@ -201,7 +202,6 @@ from .engine import (
     RadixPrefixIndex,
     TokenServingEngine,
     build_sessions,
-    chain_block_hashes,
     next_token_input,
     sequential_decode_outputs,
 )
@@ -258,7 +258,6 @@ from .traffic import (
     bursty_scenario,
     decode_scenario,
     diurnal_scenario,
-    fewshot_pool_scenario,
     geometric_lengths,
     lognormal_lengths,
     multi_tenant_priority_scenario,
@@ -321,13 +320,11 @@ __all__ = [
     "build_flight_report",
     "build_sessions",
     "bursty_scenario",
-    "chain_block_hashes",
     "decode_scenario",
     "diff_runs",
     "default_windows",
     "diurnal_scenario",
     "export_run",
-    "fewshot_pool_scenario",
     "fleet_rollup",
     "geometric_lengths",
     "infer_input_dim",

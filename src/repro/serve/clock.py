@@ -42,10 +42,10 @@ def time_at_or_before(t: float, now: float) -> bool:
 
 
 class SimulatedClock:
-    """A monotonically advancing simulated time source (seconds)."""
+    """A monotonically advancing simulated time source (seconds from 0)."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -58,10 +58,4 @@ class SimulatedClock:
                 f"clock cannot move backwards: {t} < {self._now}"
             )
         self._now = max(self._now, float(t))
-        return self._now
-
-    def advance_by(self, dt: float) -> float:
-        if dt < 0:
-            raise ValueError(f"negative time step {dt}")
-        self._now += float(dt)
         return self._now

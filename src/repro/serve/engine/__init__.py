@@ -25,7 +25,6 @@ from .kvcache import KVBlockManager
 from .prefix import (
     PrefixNode,
     RadixPrefixIndex,
-    chain_block_hashes,
     common_prefix_len,
     full_blocks,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "RadixPrefixIndex",
     "TokenServingEngine",
     "build_sessions",
-    "chain_block_hashes",
     "common_prefix_len",
     "full_blocks",
     "next_token_input",

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "PrefixNode",
     "RadixPrefixIndex",
-    "chain_block_hashes",
     "common_prefix_len",
     "full_blocks",
 ]
@@ -68,24 +67,6 @@ def _chain(parent_digest: bytes, chunk: Tuple[int, ...]) -> bytes:
     for t in chunk:
         h.update(int(t).to_bytes(8, "little", signed=True))
     return h.digest()
-
-
-def chain_block_hashes(
-    tokens: Sequence[int], block_tokens: int
-) -> List[bytes]:
-    """Chained digests of every full block of ``tokens``.
-
-    ``hashes[i]`` commits to tokens ``[0, (i+1) * block_tokens)`` — two
-    prompts share ``hashes[i]`` iff they agree on that whole span, which
-    is what makes a flat hash lookup equivalent to walking the radix
-    tree.
-    """
-    digests: List[bytes] = []
-    parent = b""
-    for chunk in full_blocks(tokens, block_tokens):
-        parent = _chain(parent, chunk)
-        digests.append(parent)
-    return digests
 
 
 def common_prefix_len(a: Sequence[int], b: Sequence[int]) -> int:

@@ -51,7 +51,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...arch.accelerator import MirageAccelerator
 from ...arch.inference import (
     attention_token_latency,
     chunked_prefill_latency,
@@ -97,8 +96,8 @@ class DecodeServiceModel(ServiceModel):
     reproduces every recorded step latency bit-for-bit from scratch.
     """
 
-    def __init__(self, accelerator: Optional[MirageAccelerator] = None):
-        super().__init__(accelerator)
+    def __init__(self):
+        super().__init__()
         self._kv: Dict[str, object] = {}
         self._attn_cache: Dict[Tuple[str, int], float] = {}
         self._chunk_cache: Dict[Tuple[str, int, int], float] = {}
@@ -235,7 +234,8 @@ class TokenServingEngine:
 
     Use one engine instance per scenario run (KV state, cached
     prefixes, worker windows and telemetry persist across steps within
-    a run, deliberately).
+    a run, deliberately).  Steps are priced on the default
+    :class:`~repro.arch.accelerator.MirageAccelerator`.
     """
 
     def __init__(
@@ -243,7 +243,6 @@ class TokenServingEngine:
         pool: ExecutorPool,
         profile: DecodeModelProfile,
         config: Optional[EngineConfig] = None,
-        accelerator: Optional[MirageAccelerator] = None,
         memory: Optional[MemorySystemModel] = None,
         health: Optional[HealthPolicy] = None,
         observability=None,
@@ -256,7 +255,7 @@ class TokenServingEngine:
         registry = observability.registry if observability is not None else None
         self.tracer = observability.tracer if observability is not None else None
         self._slo = observability.slo if observability is not None else None
-        self.service = DecodeServiceModel(accelerator)
+        self.service = DecodeServiceModel()
         self.service.register_decode(profile)
         memory = memory or MemorySystemModel(self.service.accelerator.config)
         self.kv = KVBlockManager.from_memory_model(

@@ -38,8 +38,8 @@ bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -332,9 +332,6 @@ class FaultInjector:
             self._idx += 1
         self.applied.extend(fired)
         return fired
-
-    def applied_signature(self) -> Tuple[Tuple[float, str, int, float, float], ...]:
-        return tuple(e.key() for e in self.applied)
 
 
 # ----------------------------------------------------------------------

@@ -93,7 +93,7 @@ from .metrics import (
 )
 from .profiler import HardwareAttributionProfiler
 from .quantiles import nearest_rank, nearest_rank_value, percentile
-from .report import build_flight_report, report_to_json, report_to_markdown
+from .report import build_flight_report, report_to_markdown
 from .sketch import MIN_INDEXABLE, QuantileSketch
 from .slo import (
     BurnRateMonitor,
@@ -137,7 +137,6 @@ __all__ = [
     "diff_runs",
     "render_diff",
     "build_flight_report",
-    "report_to_json",
     "report_to_markdown",
     "nearest_rank",
     "nearest_rank_value",
@@ -156,8 +155,9 @@ __all__ = [
 class Observability:
     """One deployment's observability plane: tracer + registry + SLOs.
 
-    ``tracing=False`` keeps the registry (metrics are always on — they
-    are how telemetry records) but skips span emission entirely, the
+    The plane owns a fresh :class:`MetricsRegistry`.  ``tracing=False``
+    keeps the registry (metrics are always on — they are how telemetry
+    records) but skips span emission entirely, the
     baseline configuration the overhead gate compares against.
     ``streaming=True`` asks attached consumers (the engine's
     :class:`~repro.serve.telemetry.EngineTelemetry`) to run in
@@ -169,12 +169,11 @@ class Observability:
     def __init__(
         self,
         tracing: bool = True,
-        registry: Optional[MetricsRegistry] = None,
         slo: Optional[SLOTracker] = None,
         streaming: bool = False,
     ):
         self.tracer: Optional[Tracer] = Tracer() if tracing else None
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.slo = slo
         self.streaming = bool(streaming)
 

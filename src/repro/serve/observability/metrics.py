@@ -187,8 +187,8 @@ class Histogram(_Metric):
     With ``sketch_alpha`` set, each child holds a
     :class:`~repro.serve.observability.sketch.QuantileSketch` instead of
     fixed bucket counts: memory follows the observed dynamic range
-    rather than a pre-declared bucket list, :meth:`quantile` answers any
-    percentile within ``alpha``, and the Prometheus rendering stays a
+    rather than a pre-declared bucket list, each child's sketch answers
+    any percentile within ``alpha``, and the Prometheus rendering stays a
     valid cumulative histogram (the sketch's log buckets *are* the
     ``le`` boundaries) that round-trips through
     :func:`parse_prometheus_text`.  Sketch-backed histograms accept only
@@ -251,17 +251,6 @@ class Histogram(_Metric):
         child.bucket_counts[bisect_left(self.buckets, value)] += 1
         child.sum += value
         child.count += 1
-
-    def quantile(self, q: float, *label_values) -> Optional[float]:
-        """Sketch-backed percentile (``q`` in [0, 100]); ``None`` while
-        empty.  Bucketed histograms refuse — their fixed buckets cannot
-        honour an error bound."""
-        if self.sketch_alpha is None:
-            raise ValueError(
-                f"histogram {self.name!r} has no sketch backend; construct "
-                f"it with sketch_alpha to query quantiles"
-            )
-        return self.labels(*label_values).sketch.percentile(q)
 
     # Export: the standard bucket/sum/count explosion -------------------
     def _bucket_name(self, labels: Tuple[str, ...], le: str) -> str:

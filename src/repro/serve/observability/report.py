@@ -6,7 +6,7 @@ emit: run config, the fleet critical-path rollup
 bit-exact hardware attribution
 (:class:`~repro.serve.observability.profiler.HardwareAttributionProfiler`),
 SLO attainment, trace volume, and the worst-session outlier exemplars —
-bundled into one JSON document (:func:`report_to_json`) and one
+bundled into one JSON-safe dict (:func:`build_flight_report`) and one
 markdown rendering (:func:`report_to_markdown`), both pure functions of
 the recorded run, so two seeded replays produce byte-identical
 artifacts.
@@ -20,13 +20,12 @@ valid report over the trace/metrics/SLO planes alone.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Optional
 
 from .critical_path import PHASE_NAMES, fleet_rollup
 from .profiler import HardwareAttributionProfiler
 
-__all__ = ["build_flight_report", "report_to_json", "report_to_markdown"]
+__all__ = ["build_flight_report", "report_to_markdown"]
 
 SCHEMA_VERSION = 1
 
@@ -84,11 +83,6 @@ def build_flight_report(
         else None
     )
     return report
-
-
-def report_to_json(report: Dict[str, Any]) -> str:
-    """Deterministic JSON artifact (sorted keys, trailing newline)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _md_row(cells) -> str:

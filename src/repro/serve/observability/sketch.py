@@ -19,9 +19,8 @@ the observed floats, and ``sum`` is kept as a canonical dyadic rational
 ``float.as_integer_ratio``), so merging is *lossless*: merge is exactly
 associative and commutative, and a merged sketch is bit-identical to
 the sketch of the concatenated stream.  Serialization
-(:meth:`to_dict` / :meth:`from_dict`) round-trips the full state
-canonically, which is what makes sketch-carrying artifacts
-byte-identical across seeded replays.
+(:meth:`to_dict`) is canonical, which is what makes sketch-carrying
+artifacts byte-identical across seeded replays.
 
 Determinism: pure integer/float arithmetic on the inputs — no clocks,
 no randomness, no iteration-order dependence (bins serialize sorted).
@@ -232,12 +231,6 @@ class QuantileSketch:
         # Unreachable: bucket counts sum to _count.
         raise RuntimeError("sketch bucket counts diverged from count")
 
-    def quantile(self, fraction: float) -> Optional[float]:
-        """:meth:`percentile` with ``fraction`` in [0, 1]."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"quantile fraction must be in [0, 1], got {fraction}")
-        return self.percentile(fraction * 100.0)
-
     def cdf(self, threshold: float) -> Optional[float]:
         """Approximate fraction of folded values ``<= threshold``.
 
@@ -272,8 +265,8 @@ class QuantileSketch:
     # Canonical serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-safe state: ``from_dict(to_dict())`` is exact
-        and two equal-valued sketches serialize identically."""
+        """Canonical JSON-safe state: two equal-valued sketches
+        serialize identically."""
         return {
             "kind": "ddsketch",
             "alpha": self.alpha,
@@ -287,23 +280,6 @@ class QuantileSketch:
             "min": self._min,
             "max": self._max,
         }
-
-    @classmethod
-    def from_dict(cls, state: Dict[str, Any]) -> "QuantileSketch":
-        if state.get("kind") != "ddsketch":
-            raise ValueError(f"not a sketch dict: kind={state.get('kind')!r}")
-        sketch = cls(alpha=state["alpha"])
-        sketch._bins = {int(k): int(n) for k, n in state["bins"].items()}
-        sketch._neg_bins = {
-            int(k): int(n) for k, n in state["neg_bins"].items()
-        }
-        sketch._zero = int(state["zero"])
-        sketch._count = int(state["count"])
-        sketch._sum_num = int(state["sum"][0])
-        sketch._sum_shift = int(state["sum"][1])
-        sketch._min = state["min"]
-        sketch._max = state["max"]
-        return sketch
 
     def to_json(self) -> str:
         return json.dumps(

@@ -37,7 +37,6 @@ scale-down retires dead and suspect workers first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -45,7 +44,6 @@ import numpy as np
 from ..core.pipeline import PhotonicExecutor
 from ..nn.layers import Sequential
 from .clock import time_at_or_before
-from .request import InferenceRequest
 
 __all__ = ["PoolWorker", "ExecutorPool", "ROUTING_POLICIES"]
 
@@ -141,22 +139,20 @@ class PoolWorker:
 
 
 class ExecutorPool:
-    """A fixed set of workers plus model placement and routing."""
+    """A fixed set of workers plus model placement and routing.
 
-    def __init__(
-        self,
-        num_workers: int,
-        policy: str = "least_loaded",
-        executor_factory=None,
-    ):
+    Every worker, a replacement included, gets its own default
+    :class:`~repro.core.PhotonicExecutor`.
+    """
+
+    def __init__(self, num_workers: int, policy: str = "least_loaded"):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if policy not in ROUTING_POLICIES:
             raise ValueError(
                 f"unknown routing policy {policy!r}; pick from {ROUTING_POLICIES}"
             )
-        self._factory = executor_factory or (lambda: PhotonicExecutor())
-        self.workers = [PoolWorker(i, self._factory()) for i in range(num_workers)]
+        self.workers = [PoolWorker(i, PhotonicExecutor()) for i in range(num_workers)]
         self.tracer = None
         self._next_worker_id = num_workers
         self.policy = policy
@@ -356,15 +352,6 @@ class ExecutorPool:
             return min(routable)
         return min(self.workers[w].busy_until for w in self._replicas[name])
 
-    def next_available_time(self, name: str) -> Optional[float]:
-        """Earliest free time among routable replicas; None if there are none."""
-        routable = [
-            self.workers[w].busy_until
-            for w in self._replicas[name]
-            if self.workers[w].responsive and self.workers[w].health != "dead"
-        ]
-        return min(routable) if routable else None
-
     # ------------------------------------------------------------------
     # Failures and replacement
     # ------------------------------------------------------------------
@@ -443,7 +430,7 @@ class ExecutorPool:
             raise ValueError(
                 f"worker {dead_worker_id} is still live; refusing to replace"
             )
-        fresh = PoolWorker(self._next_worker_id, self._factory())
+        fresh = PoolWorker(self._next_worker_id, PhotonicExecutor())
         self._next_worker_id += 1
         fresh.last_seen = now
         fresh.tracer = self.tracer

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,12 +98,6 @@ class InferenceRequest:
     deadline: Optional[float] = None
 
     @property
-    def queue_latency(self) -> Optional[float]:
-        if self.dispatch_time is None:
-            return None
-        return self.dispatch_time - self.arrival_time
-
-    @property
     def total_latency(self) -> Optional[float]:
         if self.completion_time is None:
             return None
@@ -132,9 +126,6 @@ class AdmissionQueue:
             OrderedDict()
         )
         self._depth = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.evicted = 0
         self._evicted_pending: List[InferenceRequest] = []
 
     # ------------------------------------------------------------------
@@ -147,10 +138,6 @@ class AdmissionQueue:
         if not classes:
             return 0
         return sum(len(q) for q in classes.values())
-
-    def pending_by_class(self, model: str) -> Dict[int, int]:
-        classes = self._queues.get(model, {})
-        return {p: len(q) for p, q in sorted(classes.items()) if q}
 
     def models_waiting(self) -> List[str]:
         """Models with at least one waiting request, oldest-queue first."""
@@ -192,11 +179,9 @@ class AdmissionQueue:
             victim = self._evict_candidate(request.priority)
             if victim is None:
                 request.status = RequestStatus.REJECTED
-                self.rejected += 1
                 return False
             self._remove(victim)
             victim.status = RequestStatus.EVICTED
-            self.evicted += 1
             self._evicted_pending.append(victim)
         classes = self._queues.setdefault(request.model, {})
         q = classes.setdefault(request.priority, deque())
@@ -205,7 +190,6 @@ class AdmissionQueue:
         else:
             q.append(request)
         self._depth += 1
-        self.admitted += 1
         request.status = RequestStatus.QUEUED
         return True
 

@@ -112,17 +112,15 @@ class RetryPolicy:
     *budget* — past it the request fails terminally).  ``deadline_s``
     gives every request an absolute deadline of ``arrival + deadline_s``
     after which it is dropped as timed out rather than served late.
-    ``hedge_on_suspect`` re-dispatches stranded work as soon as its
-    worker turns *suspect* instead of waiting for the dead declaration;
-    ``replace_dead`` swaps a fresh (cold, reprogramming-charged) replica
-    in for every worker declared dead.  All knobs are inert on
-    fault-free runs — retries and hedges only trigger on failures.
+    Two behaviours are always on: stranded work is re-dispatched
+    (hedged) as soon as its worker turns *suspect*, without waiting for
+    the dead declaration, and every worker declared dead is replaced by
+    a fresh (cold, reprogramming-charged) replica.  All of it is inert
+    on fault-free runs — retries and hedges only trigger on failures.
     """
 
     max_retries: int = 2
     deadline_s: Optional[float] = None
-    hedge_on_suspect: bool = True
-    replace_dead: bool = True
 
     def __post_init__(self):
         if self.max_retries < 0:
@@ -296,10 +294,6 @@ class Autoscaler:
         return sum(self._rs.values())
 
     # ------------------------------------------------------------------
-    def desired_replicas(self, name: str, now: float) -> int:
-        """The controller decision for one model at time ``now``."""
-        return self._decide(name, now)[0]
-
     def _decide(
         self, name: str, now: float
     ) -> Tuple[int, Dict[str, object]]:
@@ -605,9 +599,9 @@ class ServingRuntime:
 
         if self.queue.depth:
             if self._injector is not None:
-                # A fleet outage can legitimately strand waiting work
-                # (every replica dead, replacement disabled): those
-                # requests fail terminally instead of crashing the loop.
+                # A fleet outage can legitimately strand waiting work:
+                # those requests fail terminally instead of crashing the
+                # loop.
                 for model in list(self.queue.models_waiting()):
                     for r in self.queue.pop_batch(model, self.queue.depth):
                         r.status = RequestStatus.FAILED
@@ -715,19 +709,18 @@ class ServingRuntime:
             return
         for tr in self._monitor.observe(now):
             wid = tr["worker_id"]
-            if tr["to"] == "suspect" and self.retry.hedge_on_suspect:
+            if tr["to"] == "suspect":
                 for request in self._stranded.pop(wid, []):
                     self._reenter(request, now, hedged=True)
             elif tr["to"] == "dead":
                 for request in self._stranded.pop(wid, []):
                     self._reenter(request, now, hedged=False)
-                if self.retry.replace_dead:
-                    prewarm = lambda name: self.service.prewarm_latency(name)
-                    new_wid = self.pool.replace_worker(wid, now, prewarm)
-                    self.telemetry.record_replacement(wid, new_wid)
-                    ready = self.pool.workers[new_wid].busy_until
-                    if ready > now:
-                        push(ready, _DEADLINE, None)
+                prewarm = lambda name: self.service.prewarm_latency(name)
+                new_wid = self.pool.replace_worker(wid, now, prewarm)
+                self.telemetry.record_replacement(wid, new_wid)
+                ready = self.pool.workers[new_wid].busy_until
+                if ready > now:
+                    push(ready, _DEADLINE, None)
 
     def _reenter(self, request: InferenceRequest, now: float, hedged: bool) -> None:
         """Re-admit a request whose dispatch was lost to a worker failure.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,16 +187,15 @@ class Telemetry:
         worker_id: int,
         dispatch_time: float,
         service_s: float,
-    ) -> int:
-        """Record one dispatched batch; returns its index in ``batches``
-        (the id the runtime stamps on the batch's service span)."""
-        index = len(self.batches)
+    ) -> None:
+        """Record one dispatched batch at index ``len(batches)``, the id
+        the runtime reads before the call and stamps on the batch's
+        service span."""
         self.batches.append(
             _BatchRecord(model, len(requests), worker_id, dispatch_time, service_s)
         )
         self._m_batches.labels(model).inc()
         self._m_batch_size.observe(len(requests), model)
-        return index
 
     def record_completion(self, request: InferenceRequest) -> None:
         self.completed.append(request)
@@ -439,22 +438,23 @@ class EngineTelemetry:
     sketches the distributions: TTFT (overall, and per class in the
     registry's ``engine_ttft_seconds`` histogram), E2E and step time
     fold into :class:`~repro.serve.observability.sketch.QuantileSketch`
-    summaries with relative error ``sketch_alpha``, KV occupancy into a
-    fixed-budget :class:`~repro.serve.observability.streaming.WindowedSketch`
-    time series, and per-model/class attribution into a
+    summaries with relative error ``sketch_alpha`` (a class constant,
+    0.01), KV occupancy into a fixed-budget
+    :class:`~repro.serve.observability.streaming.WindowedSketch` time
+    series, and per-model/class attribution into a
     :class:`~repro.serve.observability.streaming.SpaceSavingTopK`.
     Gauges keep their last value only, in both modes.
     """
+
+    sketch_alpha = 0.01
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         streaming: bool = False,
-        sketch_alpha: float = 0.01,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.streaming = bool(streaming)
-        self.sketch_alpha = float(sketch_alpha)
         reg = self.registry
         self._m_sessions = reg.counter(
             "engine_sessions_completed_total",
@@ -590,12 +590,11 @@ class EngineTelemetry:
         kv_blocks: int,
         kv_occupancy: float,
         stall_s: float = 0.0,
-    ) -> int:
-        """Record one engine step; returns its index (its position in
-        ``steps`` in exact mode), the id the scheduler stamps on the
-        step's phase spans, closing the span→telemetry causal join the
-        critical-path analysis uses."""
-        index = self._steps_n
+    ) -> None:
+        """Record one engine step at index ``steps_count()`` (its position
+        in ``steps`` in exact mode), the id the scheduler reads before the
+        call and stamps on the step's phase spans, closing the
+        span→telemetry causal join the critical-path analysis uses."""
         self._steps_n += 1
         self._active_total += int(active)
         self._stall_total += float(stall_s)
@@ -631,7 +630,6 @@ class EngineTelemetry:
         self._m_batch_active.labels().set(active)
         if stall_s > 0.0:
             self._m_stall.labels().inc(stall_s)
-        return index
 
     def record_session(self, session) -> None:
         priority = int(session.priority)

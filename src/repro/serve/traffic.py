@@ -30,8 +30,6 @@ engine can content-address common prompt heads:
 * **shared prefix** — a fleet where most sessions open with one common
   system prompt followed by a unique suffix (the 90 %-shared regime the
   prefix cache is benchmarked on);
-* **few-shot pools** — a handful of few-shot templates of varying
-  length, each arrival sampling one template plus a unique question;
 * **multi-turn** — conversations re-submitting their growing history:
   each turn's prompt extends the previous turn's prompt, so all but the
   newest turn's tokens hit a warm prefix.
@@ -46,7 +44,7 @@ parameters instead of looping forever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,7 +66,6 @@ __all__ = [
     "multi_tenant_priority_scenario",
     "decode_scenario",
     "shared_prefix_scenario",
-    "fewshot_pool_scenario",
     "multiturn_scenario",
     "SCENARIO_NAMES",
 ]
@@ -82,7 +79,6 @@ SCENARIO_NAMES = (
     "multi_tenant_priority",
     "decode",
     "shared_prefix",
-    "fewshot_pool",
     "multiturn",
 )
 
@@ -119,9 +115,6 @@ class Scenario:
     def offered_rate(self) -> float:
         """Average offered load over the scenario horizon (req/s)."""
         return self.num_requests / self.duration_s if self.duration_s else 0.0
-
-    def models(self) -> List[str]:
-        return sorted({a[1] for a in self.arrivals})
 
     def priorities(self) -> List[int]:
         """Priority classes present (default class 0 for pairs)."""
@@ -553,61 +546,6 @@ def shared_prefix_scenario(
             tokens = _token_ids(prefix_len + int(suffixes[i]), rng)
         arrivals.append((t, m, p, len(tokens), int(decodes[i]), tokens))
     return Scenario("shared_prefix", tuple(arrivals), duration)
-
-
-def fewshot_pool_scenario(
-    model: str,
-    rate: float,
-    duration: float,
-    templates: int = 4,
-    template_median: float = 48.0,
-    template_sigma: float = 0.3,
-    template_weights: Optional[Sequence[float]] = None,
-    suffix_median: float = 8.0,
-    suffix_sigma: float = 0.5,
-    decode_mean: float = 8.0,
-    class_mix: Optional[Dict[int, float]] = None,
-    seed: int = 0,
-) -> Scenario:
-    """A pool of few-shot templates: several hot prefixes at once.
-
-    Each arrival samples one of ``templates`` fixed few-shot prompts
-    (lognormal lengths around ``template_median``) by popularity —
-    Zipf-like ``1/(k+1)`` weights unless ``template_weights`` is given —
-    and appends a unique question suffix.  The prefix cache must keep
-    several radix paths warm simultaneously and evict the cold tail.
-    """
-    if templates < 1:
-        raise ValueError(f"templates must be >= 1, got {templates}")
-    if template_weights is not None and len(template_weights) != templates:
-        raise ValueError(
-            f"template_weights must name all {templates} templates, got "
-            f"{len(template_weights)}"
-        )
-    rng = np.random.default_rng(seed)
-    times = poisson_arrivals(rate, duration, rng)
-    tagged = _tag_classes(times, model, class_mix, rng)
-    n = len(tagged)
-    template_lens = lognormal_lengths(
-        templates, template_median, template_sigma, rng
-    )
-    pool = [_token_ids(int(length), rng) for length in template_lens]
-    weights = np.array(
-        template_weights
-        if template_weights is not None
-        else [1.0 / (k + 1) for k in range(templates)],
-        dtype=np.float64,
-    )
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError(f"bad template weights {weights}")
-    picks = rng.choice(templates, size=n, p=weights / weights.sum())
-    suffixes = lognormal_lengths(n, suffix_median, suffix_sigma, rng)
-    decodes = geometric_lengths(n, decode_mean, rng)
-    arrivals: List[Arrival] = []
-    for i, (t, m, p) in enumerate(tagged):
-        tokens = pool[int(picks[i])] + _token_ids(int(suffixes[i]), rng)
-        arrivals.append((t, m, p, len(tokens), int(decodes[i]), tokens))
-    return Scenario("fewshot_pool", tuple(arrivals), duration)
 
 
 def multiturn_scenario(

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.dnnara import (
-    DnnaraCostModel,
     OneHotModularUnit,
     dnnara_mac_device_count,
     find_generator,
     is_prime,
     mirage_mmu_device_count,
-    prime_moduli_set,
     scaling_comparison,
 )
 
@@ -39,21 +37,6 @@ class TestGenerator:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             find_generator(32)
-
-
-class TestPrimeModuliSet:
-    def test_reaches_target_bits(self):
-        mods = prime_moduli_set(20.0)
-        assert sum(np.log2(m) for m in mods) >= 20.0
-        assert all(is_prime(m) for m in mods)
-
-    def test_distinct_and_descending(self):
-        mods = prime_moduli_set(30.0)
-        assert list(mods) == sorted(set(mods), reverse=True)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            prime_moduli_set(0)
 
 
 class TestOneHotRouting:
@@ -127,24 +110,3 @@ class TestDeviceCounts:
     def test_switch_count_formula(self):
         unit = OneHotModularUnit(31, "add")
         assert unit.switch_count == 31 * 5
-
-
-class TestCostModel:
-    def test_wdm_divides_per_mac_cost(self):
-        base = DnnaraCostModel(31)
-        wdm = DnnaraCostModel(31, wdm_factor=4)
-        assert wdm.area_per_mac == pytest.approx(base.area_per_mac / 4)
-        assert wdm.energy_per_mac == pytest.approx(base.energy_per_mac / 4)
-
-    def test_energy_exceeds_mirage_scale(self):
-        # At m=31 a DNNARA MAC toggles hundreds of switches; Mirage's MMU
-        # energy (Table II: 0.21 pJ total per logical MAC) is far below.
-        assert DnnaraCostModel(31).energy_per_mac > 10e-12
-
-    def test_loss_grows_with_modulus(self):
-        assert (DnnaraCostModel(127).worst_case_loss_db
-                > DnnaraCostModel(7).worst_case_loss_db)
-
-    def test_invalid_wdm_rejected(self):
-        with pytest.raises(ValueError):
-            DnnaraCostModel(31, wdm_factor=0)

@@ -123,11 +123,6 @@ class TestOpCounters:
         a.merge(b)
         assert a.modular_macs == 8 and a.overflows == 2 and a.rescales == 1
 
-    def test_as_dict_keys(self):
-        keys = set(OpCounters().as_dict())
-        assert {"modular_macs", "rescales", "sign_detections", "overflows",
-                "reverse_conversions", "forward_conversions"} == keys
-
 
 class TestSharedQuantisation:
     def test_pure_and_hybrid_share_weight_grids(self, mlp):

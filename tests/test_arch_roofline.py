@@ -5,13 +5,10 @@ import pytest
 from repro.arch import (
     GemmShape,
     MirageConfig,
-    SystolicConfig,
-    TABLE_II_FORMATS,
     gemm_intensity,
     gemm_traffic_bytes,
     mirage_bandwidth,
     roofline_point,
-    systolic_bandwidth,
     workload,
     workload_roofline,
 )
@@ -60,17 +57,13 @@ class TestBandwidth:
             mirage_bandwidth(config) / config.v
         )
 
-    def test_systolic_bandwidth_positive(self):
-        cfg = SystolicConfig(TABLE_II_FORMATS["INT12"])
-        assert systolic_bandwidth(cfg) > 0
-
 
 class TestRooflinePoints:
     def test_attainable_never_exceeds_peak(self, config):
         for layer in workload("ResNet18"):
             for point in workload_roofline([layer], config):
                 assert point.attainable <= point.peak_macs_per_s
-                assert 0 < point.efficiency <= 1.0
+                assert point.attainable > 0
 
     def test_design_point_is_balanced(self, config):
         """Section IV-C: the 10-way interleaving keeps the conv workloads
@@ -79,7 +72,7 @@ class TestRooflinePoints:
         the ridge at ~0.97)."""
         for name in ("AlexNet", "ResNet18", "VGG16"):
             points = workload_roofline(workload(name), config)
-            assert all(p.efficiency > 0.95 for p in points)
+            assert all(p.attainable > 0.95 * p.peak_macs_per_s for p in points)
 
     def test_starved_memory_binds_everything(self):
         starved = MirageConfig(interleave_factor=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,18 @@ def test_baseline_missing_file_is_empty(tmp_path):
     assert load_baseline(tmp_path / "nope.json") == {}
 
 
+def test_baseline_entries_of_unchecked_files_are_not_stale(tmp_path):
+    mod = _write_violating_tree(tmp_path)
+    other = tmp_path / "other.py"
+    other.write_text('"""Clean module."""\n')
+    cfg = fixture_config(root=tmp_path, baseline="baseline.json")
+    report = run_checks([mod], config=cfg, use_baseline=False)
+    assert write_baseline(cfg.baseline_path(), report.active) == 1
+    assert run_checks([other], config=cfg).active == []
+    relaxed = run_checks([mod], profile="relaxed", config=cfg)
+    assert relaxed.active == [], relaxed.render_text()
+
+
 # ---------------------------------------------------------------------------
 # layering
 
@@ -278,6 +291,173 @@ def test_real_tree_import_dag_matches_declared_order():
 
 
 # ---------------------------------------------------------------------------
+# dead-public-name
+
+DEAD_PROJECT = {
+    "src/pkg/__init__.py": '''
+        """Package facade."""
+        from .core import reexported
+
+        __all__ = ["only_in_all", "reexported"]
+    ''',
+    "src/pkg/core.py": '''
+        """Definitions, one per way of being used or not."""
+        from .registry import register
+
+
+        def unused_function():
+            return 1
+
+
+        def only_in_all():
+            return 2
+
+
+        def reexported():
+            return 3
+
+
+        def only_tests():
+            return 4
+
+
+        def called():
+            return _private()
+
+
+        def via_alias():
+            return 6
+
+
+        def by_string():
+            return 7
+
+
+        def _private():
+            return 8
+
+
+        @register("entry")
+        def registered():
+            return 9
+
+
+        class Widget:
+            def __repr__(self):
+                return "Widget()"
+
+            def used_method(self):
+                return 10
+
+            def attr_used(self):
+                return 11
+
+            def unused_method(self):
+                return 12
+    ''',
+    "benchmarks/bench_pkg.py": '''
+        """bench: callers of pkg."""
+        from pkg.core import called, reexported
+        from pkg.core import via_alias as alias
+        from pkg.core import Widget
+
+
+        def helper_nobody_calls():
+            widget = Widget()
+            widget.used_method()
+            return called() + alias() + getattr(widget, "attr_used")()
+    ''',
+    "perfbench/targets.py": '''
+        """unused_function"""
+        BOUNDARIES = {"core": ("pkg.core.by_string",)}
+        NOTE = "unused_method is not a dotted identifier"
+    ''',
+    "tests/test_pkg.py": '''
+        from pkg.core import only_tests
+
+
+        def test_only_tests():
+            assert only_tests() == 4
+    ''',
+}
+
+DEAD_EXPECTED = [
+    "Widget.unused_method",
+    "only_in_all",
+    "only_tests",
+    "reexported",
+    "unused_function",
+]
+
+
+def dead_project(tmp_path: Path) -> CheckConfig:
+    for rel, text in DEAD_PROJECT.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text).lstrip())
+    return fixture_config(root=tmp_path)
+
+
+def dead_names(report, path_suffix: str = "") -> list:
+    return sorted(
+        f.message.split("'")[1]
+        for f in report.active
+        if f.rule == "dead-public-name" and f.path.endswith(path_suffix)
+    )
+
+
+def test_dead_public_name_flags_only_unreferenced_src_names(tmp_path):
+    cfg = dead_project(tmp_path)
+    report = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    assert dead_names(report) == DEAD_EXPECTED, report.render_text()
+    finding = next(f for f in report.active if "unused_method" in f.message)
+    assert finding.path == "src/pkg/core.py"
+    source = (tmp_path / finding.path).read_text().splitlines()
+    assert source[finding.line - 1].strip() == "def unused_method(self):"
+
+
+def test_dead_public_name_ignores_code_outside_src(tmp_path):
+    cfg = dead_project(tmp_path)
+    roots = [tmp_path / d for d in ("src", "benchmarks", "perfbench", "tests")]
+    report = run_checks(roots, config=cfg, use_baseline=False)
+    assert dead_names(report) == DEAD_EXPECTED  # no bench/test helper
+    relaxed = run_checks(
+        roots[1:], profile="relaxed", config=cfg, use_baseline=False
+    )
+    assert dead_names(relaxed) == []
+
+
+def test_dead_public_name_is_the_same_for_one_file(tmp_path):
+    cfg = dead_project(tmp_path)
+    whole = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    one = run_checks(
+        [tmp_path / "src" / "pkg" / "core.py"], config=cfg, use_baseline=False
+    )
+    assert dead_names(one) == dead_names(whole, "core.py") == DEAD_EXPECTED
+
+
+def test_dead_public_name_waiver_goes_stale_once_referenced(tmp_path):
+    cfg = dead_project(tmp_path)
+    core = tmp_path / "src" / "pkg" / "core.py"
+    core.write_text(core.read_text().replace(
+        "def unused_function():",
+        "def unused_function():  # repro: waive[dead-public-name] -- kept",
+    ))
+    report = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    assert "unused_function" not in dead_names(report)
+    waived = [f for f in report.findings if f.waived]
+    assert [f.rule for f in waived] == ["dead-public-name"]
+    assert "waiver-unused" not in active_rules(report)
+
+    bench = tmp_path / "examples" / "demo.py"
+    bench.parent.mkdir()
+    bench.write_text("from pkg.core import unused_function\n\nunused_function()\n")
+    report = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    assert "unused_function" not in dead_names(report)
+    assert "waiver-unused" in active_rules(report)
+
+
+# ---------------------------------------------------------------------------
 # output formats / CLI
 
 
@@ -362,6 +542,7 @@ def test_registry_is_complete():
         "determinism-legacy-np-random",
         "determinism-wall-clock",
         "layering",
+        "dead-public-name",
         "clock-raw-compare",
         "hygiene-mutable-default",
         "hygiene-bare-except",

@@ -64,14 +64,14 @@ def test_every_waiver_in_src_carries_a_reason(strict_src_report):
 
 
 def test_baseline_has_no_serve_entries():
-    """serve/ carries zero grandfathered findings — it stays clean."""
+    """serve/ and arch/ carry zero grandfathered findings — they stay clean."""
     cfg = _gate_config()
     payload = json.loads(cfg.baseline_path().read_text())
-    serve_entries = [
+    entries = [
         e for e in payload["entries"]
-        if e["path"].startswith("src/repro/serve")
+        if e["path"].startswith(("src/repro/serve", "src/repro/arch"))
     ]
-    assert serve_entries == []
+    assert entries == []
 
 
 def test_cli_gate_subprocess():

@@ -35,7 +35,6 @@ from repro.serve.observability.critical_path import (
 from repro.serve.observability.diff import main as diff_main, run_to_json
 from repro.serve.observability.report import (
     build_flight_report,
-    report_to_json,
     report_to_markdown,
 )
 from repro.serve.traffic import Scenario
@@ -291,7 +290,9 @@ class TestFlightReport:
         )
         report = build_flight_report(obs, **kwargs)
         again = obs.flight_report(**kwargs)
-        assert report_to_json(report) == report_to_json(again)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            again, sort_keys=True
+        )
         assert report["critical_path"]["exact_sessions"] == len(
             telemetry.sessions
         )

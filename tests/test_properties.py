@@ -102,9 +102,10 @@ class TestArchContracts:
     def test_tile_mapping_conserves_work(self, m, k, n):
         """Padded MACs >= useful MACs, with equality iff dims divide."""
         mapping = map_gemm(GemmShape(m, k, n), v=32, g=16)
-        assert mapping.padded_macs >= mapping.useful_macs
+        padded_macs = mapping.tiles * 32 * 16 * mapping.stream_len
+        assert padded_macs >= mapping.useful_macs
         if m % 32 == 0 and k % 16 == 0:
-            assert mapping.padded_macs == mapping.useful_macs
+            assert padded_macs == mapping.useful_macs
 
     @given(
         st.integers(min_value=1, max_value=2000),

@@ -38,7 +38,7 @@ class TestClassAwareAdmission:
         assert q.offer(low) and q.offer(mid)
         assert q.offer(high)  # evicts the class-0 request
         assert low.status == RequestStatus.EVICTED
-        assert q.evicted == 1 and q.depth == 2
+        assert q.depth == 2
         assert [r.request_id for r in q.drain_evicted()] == [0]
         assert q.drain_evicted() == []
 
@@ -49,7 +49,7 @@ class TestClassAwareAdmission:
         assert q.offer(first)
         assert not q.offer(second)
         assert second.status == RequestStatus.REJECTED
-        assert q.evicted == 0
+        assert first.status == RequestStatus.QUEUED and q.drain_evicted() == []
 
     def test_eviction_picks_youngest_of_lowest_class(self):
         q = AdmissionQueue(capacity=3)
@@ -68,7 +68,7 @@ class TestClassAwareAdmission:
         q.offer(InferenceRequest(0, "m", np.zeros(1), 0.0, priority=0))
         q.offer(InferenceRequest(1, "m", np.zeros(1), 0.1, priority=2))
         q.offer(InferenceRequest(2, "m", np.zeros(1), 0.2, priority=0))
-        assert q.pending_by_class("m") == {0: 2, 2: 1}
+        assert q.pending("m") == 3
         heads = {r.priority: r.request_id for r in q.class_heads("m")}
         assert heads == {0: 0, 2: 1}
         assert q.oldest_arrival("m") == 0.0

@@ -14,8 +14,6 @@ from repro.serve import (
     Priority,
     RadixPrefixIndex,
     TokenServingEngine,
-    chain_block_hashes,
-    fewshot_pool_scenario,
     multiturn_scenario,
     sequential_decode_outputs,
     shared_prefix_scenario,
@@ -76,12 +74,12 @@ class TestBlockHashing:
         assert full_blocks(range(3), 4) == []
 
     def test_chained_hashes_commit_to_whole_prefix(self):
-        a = chain_block_hashes([1, 2, 3, 4, 5, 6, 7, 8], 4)
-        b = chain_block_hashes([1, 2, 3, 4, 5, 6, 7, 9], 4)
-        c = chain_block_hashes([9, 2, 3, 4, 5, 6, 7, 8], 4)
-        assert len(a) == 2
-        assert a[0] == b[0] and a[1] != b[1]  # shared head, divergent tail
-        assert a[0] != c[0] and a[1] != c[1]  # head divergence poisons all
+        idx = RadixPrefixIndex(4)
+        idx.insert([1, 2, 3, 4, 5, 6, 7, 8], [10, 11], tick=1)
+        nodes, _ = idx.match([1, 2, 3, 4, 5, 6, 7, 9])
+        assert [n.block_id for n in nodes] == [10]  # shared head, divergent tail
+        nodes, _ = idx.match([9, 2, 3, 4, 5, 6, 7, 8])
+        assert nodes == []  # head divergence poisons all
 
     def test_common_prefix_len(self):
         assert common_prefix_len([1, 2, 3], [1, 2, 9]) == 2
@@ -534,23 +532,6 @@ class TestSharedPrefixTraffic:
             shared_prefix_scenario("m", 1e8, 1e-7, prefix_len=0)
         with pytest.raises(ValueError):
             shared_prefix_scenario("m", 1e8, 1e-7, shared_fraction=1.5)
-
-    def test_fewshot_pool_uses_template_heads(self):
-        sc = fewshot_pool_scenario(
-            "m", 6e8, 1e-7, templates=3, template_median=12.0, seed=2
-        )
-        assert sc.num_requests > 0
-        # Every prompt opens with one of at most 3 distinct 8-token heads.
-        heads = {a[5][:8] for a in sc.arrivals}
-        assert 1 <= len(heads) <= 3
-
-    def test_fewshot_validation(self):
-        with pytest.raises(ValueError):
-            fewshot_pool_scenario("m", 1e8, 1e-7, templates=0)
-        with pytest.raises(ValueError):
-            fewshot_pool_scenario(
-                "m", 1e8, 1e-7, templates=2, template_weights=[1.0]
-            )
 
     def test_multiturn_prompts_extend_previous_turns(self):
         sc = multiturn_scenario(

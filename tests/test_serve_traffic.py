@@ -128,7 +128,7 @@ class TestScenarios:
     def test_poisson_scenario_fields(self):
         s = poisson_scenario("m", rate=100.0, duration=5.0, seed=3)
         assert s.name == "poisson"
-        assert s.models() == ["m"]
+        assert {a[1] for a in s.arrivals} == {"m"}
         assert s.offered_rate == pytest.approx(s.num_requests / 5.0)
         ts = [t for t, _ in s.arrivals]
         assert ts == sorted(ts)
@@ -163,7 +163,7 @@ class TestScenarios:
         assert set(SCENARIO_NAMES) == {
             "poisson", "bursty", "diurnal", "multi_tenant",
             "priority", "multi_tenant_priority", "decode",
-            "shared_prefix", "fewshot_pool", "multiturn",
+            "shared_prefix", "multiturn",
         }
 
 

@@ -4,7 +4,7 @@ memory-system model."""
 import numpy as np
 import pytest
 
-from repro.arch import MemorySystemModel, MirageConfig, pipeline_stage_names
+from repro.arch import MemorySystemModel, MirageConfig
 from repro.photonic import VariationModel, VariedMDPU, encoding_error_rate
 
 
@@ -91,7 +91,10 @@ class TestMemorySystemModel:
 
     def test_all_stages_reported(self):
         model = MemorySystemModel(MirageConfig())
-        assert set(model.demands()) == set(pipeline_stage_names())
+        assert set(model.demands()) == {
+            "sram_read", "sram_write", "fp_bfp", "bns_rns", "rns_bns",
+            "accumulate",
+        }
 
     def test_input_reuse_validation(self):
         with pytest.raises(ValueError):
