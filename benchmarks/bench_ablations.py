@@ -10,7 +10,6 @@
 import pytest
 
 from repro.analysis import (
-    AccuracySetup,
     run_adc_energy_ablation,
     run_batch_sweep,
     run_dac_precision_ablation,

@@ -16,8 +16,6 @@ directions:
 Run:  python examples/memory_system_tour.py
 """
 
-import numpy as np
-
 from repro.arch import (
     MirageConfig,
     gemm_intensity,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -8,10 +8,7 @@ invokes these one-to-one.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..arch import (
     MIRAGE_DATAFLOWS,
@@ -39,7 +36,6 @@ from ..arch.breakdown import (
     power_pie,
 )
 from ..photonic.errors import mdpu_output_error, min_dac_bits
-from ..rns.moduli import choose_k_min
 from .accuracy import AccuracySetup, run_accuracy
 from .reporting import format_series, format_table
 

@@ -21,7 +21,7 @@ One runner per study, each returning a printable report (matching the
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

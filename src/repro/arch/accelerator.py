@@ -11,16 +11,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from .area import mirage_total_area
-from .config import DataFormat, MirageConfig, SystolicConfig, TABLE_II_FORMATS
+from .config import DataFormat, MirageConfig, TABLE_II_FORMATS
 from .dataflow import MIRAGE_DATAFLOWS
 from .energy import EnergyParams, MirageEnergyModel
 from .latency import mirage_latency_fn, step_latency
-from .systolic import (
-    SystolicResult,
-    evaluate_systolic,
-    iso_area_config,
-    iso_energy_config,
-)
+from .systolic import evaluate_systolic, iso_area_config, iso_energy_config
 from .workloads import LayerShape, total_training_macs, workload
 
 __all__ = ["MirageResult", "MirageAccelerator", "ComparisonRow", "compare_workload"]

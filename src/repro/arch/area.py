@@ -9,11 +9,9 @@ photonic, 242.7 mm² electronic, 476.6 mm² combined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
-from ..photonic import constants as PC
 from ..photonic.devices import MMUGeometry, PhaseShifterBank
 from .config import MirageConfig
 

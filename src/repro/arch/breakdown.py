@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .area import area_breakdown, mirage_footprint_area, mirage_total_area
+from .area import area_breakdown, mirage_footprint_area
 from .config import MirageConfig
 from .energy import EnergyParams, peak_power_breakdown
 

@@ -12,9 +12,8 @@ or stationary tile, clocked per data format.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from .config import MirageConfig, SystolicConfig
 from .dataflow import MIRAGE_DATAFLOWS, SYSTOLIC_DATAFLOWS

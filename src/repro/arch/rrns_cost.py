@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..photonic import constants as PC
 from ..photonic.noise import laser_power_for_modulus
 from ..rns.moduli import pairwise_coprime
 from ..rns.rrns import RRNSCodec
-from .area import AreaParams, area_breakdown
+from .area import area_breakdown
 from .config import MirageConfig
 from .converters import adc_energy_per_conversion
 from .energy import EnergyParams, peak_power_breakdown

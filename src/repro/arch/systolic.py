@@ -12,11 +12,10 @@ the *number* of arrays scales —
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
-from .config import DataFormat, MirageConfig, SystolicConfig, TABLE_II_FORMATS
+from .config import DataFormat, MirageConfig, SystolicConfig
 from .dataflow import SYSTOLIC_DATAFLOWS
 from .latency import step_latency, systolic_latency_fn
 from .workloads import LayerShape, total_training_macs

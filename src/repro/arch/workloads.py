@@ -12,9 +12,8 @@ im2col-style (``M = C_out``, ``K = C_in k^2``, ``N = batch * H_out W_out``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List
 
 __all__ = [
     "GemmShape",

@@ -1,12 +1,7 @@
 """Block Floating Point substrate (shared-exponent integer groups)."""
 
 from .format import BFPBlock, BFPConfig, decode_groups, encode_groups, quantize_tensor
-from .gemm import (
-    bfp_encode_matrix,
-    bfp_matmul_exact,
-    bfp_matmul_fast,
-    max_dot_magnitude,
-)
+from .gemm import bfp_encode_matrix, bfp_matmul_exact
 
 __all__ = [
     "BFPConfig",
@@ -16,6 +11,4 @@ __all__ = [
     "quantize_tensor",
     "bfp_encode_matrix",
     "bfp_matmul_exact",
-    "bfp_matmul_fast",
-    "max_dot_magnitude",
 ]

@@ -6,16 +6,13 @@ input vector forms one BFP group and each weight row forms another; the dot
 product is then an integer dot of mantissae scaled by
 ``2^(e_x + e_w - 2 bm)``.
 
-Two entry points:
-
-* :func:`bfp_matmul_exact` — per-(row, tile) shared exponents, integer
-  mantissa GEMM, exact reconstruction.  Structurally identical to what the
-  hardware computes, and what :class:`repro.core.PhotonicRnsTensorCore`
-  must match bit-for-bit.
-* :func:`bfp_matmul_fast` — fake-quantise both operands then use float
-  matmul.  Numerically identical results for output magnitudes below 2^53
-  (float64 holds the integer products exactly); used by the training-time
-  accuracy model because it is an order of magnitude faster.
+:func:`bfp_matmul_exact` uses per-(row, tile) shared exponents, an integer
+mantissa GEMM and exact reconstruction.  It is structurally identical to
+what the hardware computes, and what :class:`repro.core.PhotonicRnsTensorCore`
+must match bit-for-bit.  The training-time accuracy model instead
+fake-quantises both operands with :func:`repro.bfp.quantize_tensor` and
+uses a float matmul, which gives the same values for output magnitudes
+below 2^53 (float64 holds the integer products exactly).
 """
 
 from __future__ import annotations
@@ -24,23 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .format import BFPConfig, _encode_grouped, quantize_tensor
+from .format import BFPConfig, _encode_grouped
 
-__all__ = [
-    "bfp_encode_matrix",
-    "bfp_matmul_exact",
-    "bfp_matmul_fast",
-    "max_dot_magnitude",
-]
-
-
-def max_dot_magnitude(config: BFPConfig) -> int:
-    """Largest |integer dot product| for a ``g``-long BFP group pair.
-
-    ``g * (2^bm - 1)^2`` — must stay below the signed RNS range ψ for the
-    modular pipeline to be lossless (this is Eq. 13 up to rounding).
-    """
-    return config.g * config.mantissa_range**2
+__all__ = ["bfp_encode_matrix", "bfp_matmul_exact"]
 
 
 def bfp_encode_matrix(
@@ -102,20 +85,3 @@ def bfp_matmul_exact(
         )
         out += part * scale
     return out
-
-
-def bfp_matmul_fast(
-    w: np.ndarray,
-    x: np.ndarray,
-    config: BFPConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """``w @ x`` after fake-quantising both operands to BFP.
-
-    The float64 matmul of the dequantised operands is exactly the sum of
-    the per-group scaled integer dots as long as no product exceeds 2^53,
-    which Eq. 13-sized configurations guarantee by a huge margin.
-    """
-    wq = quantize_tensor(np.asarray(w, dtype=np.float64), config, axis=-1, rng=rng)
-    xq = quantize_tensor(np.asarray(x, dtype=np.float64), config, axis=0, rng=rng)
-    return wq @ xq

@@ -5,15 +5,15 @@ seeded fault-storm replays, exact analytic cross-checks — rests on
 properties no runtime test asserts directly: nothing on a simulated path
 reads the wall clock or an unseeded RNG, layers only import downward,
 timestamp comparisons in ``serve/`` go through the relative-tolerance
-clock helpers, and every public name in ``src/`` has a caller.  This
-package machine-checks those invariants on every ``pytest`` run (see
-``tests/test_checks_gate.py``) and from the command line::
+clock helpers, every public name in ``src/`` has a caller, and every
+import is read.  This package machine-checks those invariants on every
+``pytest`` run (see ``tests/test_checks_gate.py``) and from the command
+line::
 
     PYTHONPATH=src python -m repro.checks src               # strict
     PYTHONPATH=src python -m repro.checks tests benchmarks --profile relaxed
     PYTHONPATH=src python -m repro.checks --list-rules
     PYTHONPATH=src python -m repro.checks src --format json
-    PYTHONPATH=src python -m repro.checks src --write-baseline  # regen
 
 The framework is dependency-free (stdlib :mod:`ast` + :mod:`tomllib`
 only) so the bottom-to-top layer order it enforces never depends on the
@@ -23,8 +23,9 @@ Architecture
 ------------
 ``config``
     ``[tool.repro-checks]`` in pyproject.toml: layer order, clock paths
-    and helper names, wall-clock allowlist, excludes, baseline path,
-    per-profile rule disables.  Defaults mirror the committed file.
+    and helper names, wall-clock allowlist, excludes, per-profile rule
+    disables.  Defaults mirror the committed file; an unknown key is an
+    error.
 ``registry`` / ``astutil``
     Rule registration (``@rule(id, description, scope)``) and the
     per-file :class:`~repro.checks.registry.ModuleContext` handed to
@@ -57,18 +58,19 @@ Architecture
       ``tests/`` are not callers, and ``@rule(...)``-style call
       decorators count as use.  It matches by name only: one use of a
       name keeps every definition of that name alive.
+    * **imports** — ``unused-import``: a top-level ``import`` or ``from
+      ... import`` binding that nothing in its module reads (a ``Name``,
+      a name in a quoted annotation, or an ``__all__`` string).
+      ``from __future__`` and package ``__init__.py`` re-exports are
+      exempt.
 ``waivers``
-    Inline escape hatch: ``# repro: waive[rule-id] -- reason`` on the
-    offending line.  The reason is mandatory (``waiver-missing-reason``)
-    and stale waivers are findings too (``waiver-unused``).
-``baseline``
-    Committed JSON (``checks-baseline.json``) grandfathering pre-rule
-    findings, keyed by source-line fingerprint so they survive
-    line-number drift; regenerate with ``--write-baseline``.  Stale
-    entries are ``baseline-stale`` findings.
+    The only way to suppress a finding: ``# repro: waive[rule-id] --
+    reason`` on the offending line.  The reason is mandatory
+    (``waiver-missing-reason``) and stale waivers are findings too
+    (``waiver-unused``).
 ``runner`` / ``cli``
-    File collection, rule execution, waiver/baseline application,
-    text/JSON reports, exit codes (0 clean / 1 findings / 2 usage).
+    File collection, rule execution, waiver application, text/JSON
+    reports, exit codes (0 clean / 1 findings / 2 usage).
 """
 
 from .config import CheckConfig, load_config

@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import write_baseline
 from .config import PROFILES, load_config
 from .registry import all_rules
 from .runner import run_checks
@@ -43,16 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="explicit pyproject.toml (default: walk up from cwd)",
     )
     parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the committed baseline (report everything)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="re-write the baseline from the current active findings",
-    )
-    parser.add_argument(
         "--show-suppressed", action="store_true",
-        help="also print waived/baselined findings in text output",
+        help="also print waived findings in text output",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -77,18 +68,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             [Path(p) for p in args.paths],
             profile=args.profile,
             config=config,
-            use_baseline=not (args.no_baseline or args.write_baseline),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(config.baseline_path(), report.active)
-        print(
-            f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-            f"to {config.baseline_path()}"
-        )
-        return 0
     if args.output_format == "json":
         print(report.render_json())
     else:

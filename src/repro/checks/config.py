@@ -22,7 +22,7 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["CheckConfig", "load_config", "find_pyproject", "PROFILES"]
 
@@ -73,8 +73,6 @@ class CheckConfig:
     wallclock_allow: Tuple[str, ...] = ("src/repro/analysis",)
     # Path fragments excluded from checking entirely (lint fixtures).
     exclude: Tuple[str, ...] = ("tests/checks_fixtures",)
-    # Committed baseline of grandfathered findings (repo-relative).
-    baseline: str = "checks-baseline.json"
     # Extra rule ids disabled per profile (on top of built-in sets).
     strict_disable: Tuple[str, ...] = ()
     relaxed_disable: Tuple[str, ...] = RELAXED_DISABLED
@@ -96,9 +94,6 @@ class CheckConfig:
     def is_excluded(self, rel_path: str) -> bool:
         return any(frag in rel_path for frag in self.exclude)
 
-    def baseline_path(self) -> Path:
-        return self.root / self.baseline
-
 
 def find_pyproject(start: Path) -> Optional[Path]:
     """Walk up from ``start`` to the nearest pyproject.toml."""
@@ -107,6 +102,18 @@ def find_pyproject(start: Path) -> Optional[Path]:
         if candidate.is_file():
             return candidate
     return None
+
+
+# ``[tool.repro-checks]`` keys holding a list of strings, by attribute.
+_LIST_KEYS = {
+    "clock-paths": "clock_paths",
+    "clock-helpers": "clock_helpers",
+    "wallclock-allow": "wallclock_allow",
+    "exclude": "exclude",
+    "strict-disable": "strict_disable",
+    "relaxed-disable": "relaxed_disable",
+}
+_KNOWN_KEYS = frozenset(_LIST_KEYS) | {"layers", "layer-root"}
 
 
 def _str_tuple(value: object, key: str) -> Tuple[str, ...]:
@@ -119,7 +126,8 @@ def load_config(pyproject: Optional[Path] = None, root: Optional[Path] = None) -
     """Load ``[tool.repro-checks]``; missing file or table means defaults.
 
     ``root`` (default: the pyproject's directory, else cwd) anchors all
-    relative paths in reports, the baseline and the exclude list.
+    relative paths in reports and the exclude list.  An unknown key is a
+    ``ValueError``: a misspelt setting must not leave a default in force.
     """
     table: Dict[str, object] = {}
     if pyproject is None:
@@ -129,28 +137,23 @@ def load_config(pyproject: Optional[Path] = None, root: Optional[Path] = None) -
             table = tomllib.load(fh).get("tool", {}).get("repro-checks", {})
         if root is None:
             root = pyproject.parent
+    unknown = sorted(set(table) - _KNOWN_KEYS)
+    if unknown:
+        raise ValueError(
+            f"[tool.repro-checks] unknown key(s) {', '.join(unknown)}; "
+            f"expected {', '.join(sorted(_KNOWN_KEYS))}"
+        )
     cfg = CheckConfig(root=(root or Path.cwd()).resolve())
     if "layers" in table:
         layers = table["layers"]
         if not isinstance(layers, list):
             raise ValueError("[tool.repro-checks] layers must be a list of lists")
         cfg.layers = tuple(_str_tuple(group, "layers") for group in layers)
-    for toml_key, attr in (
-        ("clock-paths", "clock_paths"),
-        ("clock-helpers", "clock_helpers"),
-        ("wallclock-allow", "wallclock_allow"),
-        ("exclude", "exclude"),
-        ("strict-disable", "strict_disable"),
-        ("relaxed-disable", "relaxed_disable"),
-    ):
+    for toml_key, attr in _LIST_KEYS.items():
         if toml_key in table:
             setattr(cfg, attr, _str_tuple(table[toml_key], toml_key))
     if "layer-root" in table:
         if not isinstance(table["layer-root"], str):
             raise ValueError("[tool.repro-checks] layer-root must be a string")
         cfg.layer_root = table["layer-root"]
-    if "baseline" in table:
-        if not isinstance(table["baseline"], str):
-            raise ValueError("[tool.repro-checks] baseline must be a string")
-        cfg.baseline = table["baseline"]
     return cfg

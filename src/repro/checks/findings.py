@@ -1,33 +1,25 @@
 """Finding records and report rendering for :mod:`repro.checks`.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-identity for baseline matching is the triple ``(rule, path,
-line_fingerprint)`` — the fingerprint hashes the *stripped source line*
-rather than the line number, so unrelated edits above a grandfathered
-finding do not invalidate the committed baseline.
+A :class:`Finding` is one rule violation at one source location.  The
+only way to suppress one is an inline waiver on its line (see
+:mod:`repro.checks.waivers`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["Finding", "Report", "line_fingerprint"]
-
-
-def line_fingerprint(source_line: str) -> str:
-    """Stable identity of a source line: sha1 of its stripped text."""
-    return hashlib.sha1(source_line.strip().encode("utf-8")).hexdigest()[:12]
+__all__ = ["Finding", "Report"]
 
 
 @dataclass(order=True)
 class Finding:
     """One rule violation at one location.
 
-    ``path`` is repo-relative with forward slashes so reports, waivers
-    and baselines are portable across checkouts.
+    ``path`` is repo-relative with forward slashes so reports and waivers
+    are portable across checkouts.
     """
 
     path: str
@@ -35,14 +27,8 @@ class Finding:
     col: int
     rule: str
     message: str = field(compare=False)
-    fingerprint: str = field(default="", compare=False)
     waived: bool = field(default=False, compare=False)
     waive_reason: Optional[str] = field(default=None, compare=False)
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def suppressed(self) -> bool:
-        return self.waived or self.baselined
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -54,10 +40,8 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
             "waived": self.waived,
             "waive_reason": self.waive_reason,
-            "baselined": self.baselined,
         }
 
 
@@ -71,8 +55,8 @@ class Report:
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that fail the run (not waived, not baselined)."""
-        return [f for f in self.findings if not f.suppressed]
+        """Findings that fail the run (not waived)."""
+        return [f for f in self.findings if not f.waived]
 
     @property
     def exit_code(self) -> int:
@@ -87,13 +71,9 @@ class Report:
     def render_text(self, *, show_suppressed: bool = False) -> str:
         lines: List[str] = []
         for f in sorted(self.findings):
-            if f.suppressed and not show_suppressed:
+            if f.waived and not show_suppressed:
                 continue
-            tag = ""
-            if f.waived:
-                tag = " [waived: %s]" % (f.waive_reason or "?")
-            elif f.baselined:
-                tag = " [baselined]"
+            tag = " [waived: %s]" % f.waive_reason if f.waived else ""
             lines.append(f"{f.location()}: {f.rule}: {f.message}{tag}")
         active = self.active
         suppressed = len(self.findings) - len(active)

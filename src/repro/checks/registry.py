@@ -17,10 +17,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from .config import CheckConfig
-from .findings import Finding, line_fingerprint
+from .findings import Finding
 
 __all__ = ["ModuleContext", "RuleSpec", "rule", "all_rules", "module_name_for"]
 
@@ -56,26 +56,15 @@ class ModuleContext:
     tree: ast.Module
     config: CheckConfig
 
-    @property
-    def lines(self) -> List[str]:
-        return self.source.splitlines()
-
-    def source_line(self, lineno: int) -> str:
-        lines = self.lines
-        return lines[lineno - 1] if 1 <= lineno <= len(lines) else ""
-
     def finding(
         self, rule_id: str, node: ast.AST, message: str
     ) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             path=self.rel_path,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             rule=rule_id,
             message=message,
-            fingerprint=line_fingerprint(self.source_line(lineno)),
         )
 
     def in_paths(self, fragments: Iterable[str]) -> bool:

@@ -1,3 +1,3 @@
 """Rule modules; importing this package registers every rule."""
 
-from . import clockdiscipline, deadcode, determinism, hygiene, layering  # noqa: F401
+from . import clockdiscipline, deadcode, determinism, hygiene, imports, layering  # noqa: F401

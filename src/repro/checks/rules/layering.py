@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..findings import Finding, line_fingerprint
+from ..findings import Finding
 from ..registry import ModuleContext, rule
 
 # (importer ctx, import lineno, target dotted module)
@@ -93,7 +93,6 @@ def check_layering(contexts: List[ModuleContext]) -> Iterator[Finding]:
                     f"package '{src_pkg}' is not in the declared layer "
                     "order; add it to [tool.repro-checks] layers"
                 ),
-                fingerprint=line_fingerprint(f"undeclared:{src_pkg}"),
             )
         for lineno, target in _imports_of(ctx):
             # Trim symbol imports down to the longest scanned module.
@@ -114,7 +113,6 @@ def check_layering(contexts: List[ModuleContext]) -> Iterator[Finding]:
                         f"import of undeclared package '{dst_pkg}'; add "
                         "it to [tool.repro-checks] layers"
                     ),
-                    fingerprint=line_fingerprint(ctx.source_line(lineno)),
                 )
             if (
                 src_rank is not None
@@ -129,7 +127,6 @@ def check_layering(contexts: List[ModuleContext]) -> Iterator[Finding]:
                         f"imports '{dst_pkg}' (layer {dst_rank}); layers "
                         "may only import downward"
                     ),
-                    fingerprint=line_fingerprint(ctx.source_line(lineno)),
                 )
 
     # --- cycle detection over the module-level graph (Tarjan SCC)
@@ -197,5 +194,4 @@ def check_layering(contexts: List[ModuleContext]) -> Iterator[Finding]:
             path=anchor.rel_path, line=lineno, col=0,
             rule="layering-cycle",
             message="import cycle: " + " -> ".join(members + [members[0]]),
-            fingerprint=line_fingerprint("cycle:" + ",".join(members)),
         )

@@ -1,4 +1,4 @@
-"""Checker driver: collect files, run rules, apply waivers and baseline."""
+"""Checker driver: collect files, run rules, apply waivers."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from . import rules  # noqa: F401  (import-time rule registration)
-from .baseline import apply_baseline, load_baseline
+from . import rules  # repro: waive[unused-import] -- importing the rules package registers every rule
 from .config import CheckConfig, load_config
-from .findings import Finding, Report, line_fingerprint
+from .findings import Finding, Report
 from .registry import ModuleContext, all_rules, module_name_for
 from .waivers import apply_waivers, parse_waivers
 
@@ -61,7 +60,6 @@ def build_contexts(
                     col=exc.offset or 0,
                     rule="parse-error",
                     message=f"file does not parse: {exc.msg}",
-                    fingerprint=line_fingerprint(exc.text or rel),
                 )
             )
             continue
@@ -83,7 +81,6 @@ def run_checks(
     *,
     profile: str = "strict",
     config: Optional[CheckConfig] = None,
-    use_baseline: bool = True,
 ) -> Report:
     """Run every enabled rule over ``paths`` and return a :class:`Report`."""
     if config is None:
@@ -109,16 +106,6 @@ def run_checks(
         for ctx in contexts
     }
     findings = apply_waivers(findings, waivers_by_file)
-    if use_baseline:
-        # Only entries this run could have matched can go stale: a run
-        # over tests/ leaves the grandfathered src/ entries alone.
-        checked = {ctx.rel_path for ctx in contexts}
-        baseline = load_baseline(config.baseline_path())
-        for key in list(baseline):
-            rule_id, path, _ = key
-            if path not in checked or rule_id in disabled:
-                del baseline[key]
-        findings = apply_baseline(findings, baseline)
     return Report(
         profile=profile,
         findings=sorted(findings),

@@ -15,7 +15,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .findings import Finding, line_fingerprint
+from .findings import Finding
 
 __all__ = ["Waiver", "parse_waivers", "apply_waivers"]
 
@@ -100,9 +100,6 @@ def apply_waivers(
                             "waiver must carry a reason: "
                             "'# repro: waive[%s] -- why'" % ", ".join(w.rules)
                         ),
-                        fingerprint=line_fingerprint(
-                            f"waiver:{','.join(w.rules)}"
-                        ),
                     )
                 )
             elif not w.used:
@@ -115,9 +112,6 @@ def apply_waivers(
                         message=(
                             "waiver for [%s] suppresses nothing on this "
                             "line; delete it" % ", ".join(w.rules)
-                        ),
-                        fingerprint=line_fingerprint(
-                            f"waiver:{','.join(w.rules)}"
                         ),
                     )
                 )

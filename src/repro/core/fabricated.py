@@ -21,8 +21,7 @@ The demonstrable claims:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -156,22 +155,3 @@ class FabricatedTensorCore:
                 )
                 out[lo:hi, :] += (ints[:, : hi - lo] * scale).T
         return out
-
-    # ------------------------------------------------------------------
-    def residue_error_rate(self, trials: int = 200, seed: int = 1) -> float:
-        """Fraction of single modular dot products decided wrongly, over
-        random residue operands across all fabricated devices."""
-        rng = np.random.default_rng(seed)
-        wrong = total = 0
-        for mi, m in enumerate(self.mset.moduli):
-            for row in range(self.config.v):
-                dev = self._devices[mi][row]
-                x = rng.integers(0, m, size=(trials, self.config.g))
-                w = rng.integers(0, m, size=(trials, self.config.g))
-                exact = (
-                    dev.exact(x, w) if hasattr(dev, "exact")
-                    else np.mod((x * w).sum(axis=-1), m)
-                )
-                wrong += int(np.count_nonzero(dev.dot(x, w) != exact))
-                total += trials
-        return wrong / total

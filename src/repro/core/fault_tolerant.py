@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from ..bfp.format import BFPConfig
 from ..determinism import resolve_rng, spawn_rng
 from ..bfp.gemm import bfp_encode_matrix
 from ..photonic.mdpu import MMVMU, NoiseModel
-from ..rns.moduli import ModuliSet
 from ..rns.rrns import RRNSCodec
 
 __all__ = ["FaultTolerantCore", "FaultTolerantStats", "rrns_fault_rates"]
@@ -78,14 +77,6 @@ class FaultTolerantStats:
     corrected: int = 0
     uncorrectable: int = 0
 
-    @property
-    def corrected_rate(self) -> float:
-        return self.corrected / self.outputs if self.outputs else 0.0
-
-    @property
-    def failure_rate(self) -> float:
-        return self.uncorrectable / self.outputs if self.outputs else 0.0
-
 
 class FaultTolerantCore:
     """RRNS-protected photonic tensor core.
@@ -127,17 +118,6 @@ class FaultTolerantCore:
         self.stats = FaultTolerantStats()
 
     # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        self.stats = FaultTolerantStats()
-
-    def fault_rates(self, p_channel: float) -> Dict[str, float]:
-        """Analytic per-output fault rates of this core's RRNS code.
-
-        See :func:`rrns_fault_rates`; ``p_channel`` is the probability
-        that any single residue channel yields a corrupted output.
-        """
-        return rrns_fault_rates(self.codec, p_channel)
-
     def matmul(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``w @ x`` through the noisy RRNS-protected dataflow.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 

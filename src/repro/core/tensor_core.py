@@ -170,10 +170,6 @@ class PhotonicRnsTensorCore:
     def mvm_cycles(self) -> int:
         return self._mvm_cycles
 
-    def reset_stats(self) -> None:
-        self._tiles_programmed = 0
-        self._mvm_cycles = 0
-
     # ------------------------------------------------------------------
     # Weight-static programming (Fig. 2 steps 2-4 for the weight operand)
     # ------------------------------------------------------------------
@@ -236,7 +232,7 @@ class PhotonicRnsTensorCore:
             raise ValueError(f"bad GEMM shapes {pw.shape} @ {x.shape}")
         return self._execute(pw, x)
 
-    def matmul_many(
+    def matmul_many(  # repro: waive[dead-public-name] -- batched entry point hashed by the core golden digest (tests/test_core_golden.py)
         self, w: np.ndarray, xs: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
         """Batched multi-GEMM: program ``w`` once, stream every input.

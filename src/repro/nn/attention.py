@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -102,20 +102,6 @@ class KVCacheSpec:
         return kv_cache_bytes_per_token(
             self.dim, self.num_heads, self.num_layers, self.bytes_per_element
         )
-
-    def kv_shape(self, context_len: int) -> Tuple[int, int, int, int, int]:
-        """Array shape of a session's cache at ``context_len`` tokens:
-        ``(num_layers, 2, num_heads, context_len, head_dim)`` (the 2 is
-        K and V)."""
-        if context_len < 0:
-            raise ValueError(f"context_len must be >= 0, got {context_len}")
-        return (self.num_layers, 2, self.num_heads, context_len, self.head_dim)
-
-    def kv_bytes(self, context_len: int) -> int:
-        """Total resident bytes of a session at ``context_len`` tokens."""
-        if context_len < 0:
-            raise ValueError(f"context_len must be >= 0, got {context_len}")
-        return context_len * self.bytes_per_token
 
 
 class MultiHeadAttention(Module):

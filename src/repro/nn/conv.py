@@ -18,7 +18,7 @@ from . import init
 from .layers import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["im2col", "col2im", "conv2d", "Conv2d", "MaxPool2d", "AvgPool2d",
+__all__ = ["im2col", "col2im", "conv2d", "Conv2d", "MaxPool2d",
            "GlobalAvgPool2d", "conv_output_size"]
 
 
@@ -200,34 +200,6 @@ class MaxPool2d(Module):
             rows = ohs * s + ki
             cols = ows * s + kj
             np.add.at(gx, (ns, cs, rows, cols), grad)
-            x.accumulate(gx)
-
-        return Tensor.from_op(out_data, (x,), backward)
-
-
-class AvgPool2d(Module):
-    """Average pooling with square window."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        k, s = self.kernel_size, self.stride
-        n, c, h, w = x.shape
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        view = _patch_view(x.data, k, s)
-        out_data = view.mean(axis=(-2, -1))
-        input_shape = x.data.shape
-
-        def backward(grad):
-            gx = np.zeros(input_shape, dtype=np.float64)
-            share = grad / (k * k)
-            for ki in range(k):
-                for kj in range(k):
-                    gx[:, :, ki : ki + s * oh : s, kj : kj + s * ow : s] += share
             x.accumulate(gx)
 
         return Tensor.from_op(out_data, (x,), backward)

@@ -24,12 +24,9 @@ __all__ = [
     "ReLU",
     "LeakyReLU",
     "Tanh",
-    "Sigmoid",
-    "GELU",
     "Flatten",
     "Dropout",
     "BatchNorm2d",
-    "BatchNorm1d",
     "LayerNorm",
     "Embedding",
 ]
@@ -112,9 +109,6 @@ class Module:
                 )
             p.data = state[name].astype(np.float64).copy()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 class Sequential(Module):
     """Chain of modules applied in order."""
@@ -175,19 +169,6 @@ class LeakyReLU(Module):
 class Tanh(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class GELU(Module):
-    """tanh-approximation GELU (as used by most transformer codebases)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        inner = (x + x * x * x * 0.044715) * 0.7978845608028654
-        return x * 0.5 * (inner.tanh() + 1.0)
 
 
 class Flatten(Module):
@@ -254,15 +235,6 @@ class BatchNorm2d(_BatchNorm):
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects NCHW, got {x.shape}")
         return self._normalize(x, (0, 2, 3), (1, self.num_features, 1, 1))
-
-
-class BatchNorm1d(_BatchNorm):
-    """Batch normalisation over (N, C)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError(f"BatchNorm1d expects (N, C), got {x.shape}")
-        return self._normalize(x, (0,), (1, self.num_features))
 
 
 class LayerNorm(Module):

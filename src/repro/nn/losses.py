@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["cross_entropy", "mse_loss", "l1_loss", "nll_loss", "label_smoothing_nll"]
+__all__ = ["cross_entropy", "mse_loss", "nll_loss"]
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: Optional[int] = None) -> Tensor:
@@ -38,35 +38,8 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, ignore_index: Optional[int]
     return -picked.mean()
 
 
-def label_smoothing_nll(
-    log_probs: Tensor,
-    targets: np.ndarray,
-    smoothing: float = 0.1,
-    ignore_index: Optional[int] = None,
-) -> Tensor:
-    """Label-smoothed NLL (standard for transformer training)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    vocab = log_probs.shape[-1]
-    nll = nll_loss(log_probs, targets, ignore_index)
-    if ignore_index is not None:
-        keep = targets.reshape(-1) != ignore_index
-        idx = np.nonzero(keep)[0]
-        uniform = -log_probs.reshape(-1, vocab)[idx].mean()
-    else:
-        uniform = -log_probs.mean()
-    return nll * (1.0 - smoothing) + uniform * smoothing
-
-
 def mse_loss(pred: Tensor, target) -> Tensor:
     """Mean squared error."""
     target = target if isinstance(target, Tensor) else Tensor(target)
     diff = pred - target
     return (diff * diff).mean()
-
-
-def l1_loss(pred: Tensor, target) -> Tensor:
-    """Mean absolute error (via sqrt of squared diff for differentiability
-    everywhere except exactly zero, where the subgradient 0 is used)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = pred - target
-    return ((diff * diff) + 1e-12).sqrt().mean()

@@ -20,7 +20,7 @@ from .attention import (
     causal_mask,
     positional_encoding,
 )
-from .conv import AvgPool2d, Conv2d, GlobalAvgPool2d, MaxPool2d
+from .conv import GlobalAvgPool2d, MaxPool2d
 from .layers import (
     BatchNorm2d,
     Embedding,

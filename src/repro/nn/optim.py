@@ -10,13 +10,13 @@ the GEMM ops, so the semantics match by construction.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["SGD", "Adam", "StepLR", "LambdaLR", "clip_grad_norm"]
+__all__ = ["SGD", "Adam", "StepLR", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: Iterable["Parameter"], max_norm: float) -> float:
@@ -133,17 +133,3 @@ class StepLR:
     def step(self) -> None:
         self.epoch += 1
         self.optimizer.lr = self.base_lr * (self.gamma ** (self.epoch // self.step_size))
-
-
-class LambdaLR:
-    """LR = base_lr * fn(epoch)."""
-
-    def __init__(self, optimizer: Optimizer, fn):
-        self.optimizer = optimizer
-        self.fn = fn
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.fn(self.epoch)

@@ -26,9 +26,8 @@ from typing import Optional
 import numpy as np
 
 from ..quant.formats import GemmQuantizer
-from . import init
-from .conv import Conv2d, conv2d
-from .layers import Linear, Module, Parameter
+from .conv import Conv2d
+from .layers import Linear
 from .tensor import Tensor
 
 __all__ = ["quantized_matmul", "QuantizedLinear", "QuantizedConv2d"]

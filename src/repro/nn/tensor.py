@@ -100,9 +100,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"
@@ -316,21 +313,6 @@ class Tensor:
             full = np.zeros(shape, dtype=np.float64)
             np.add.at(full, idx, grad)
             self.accumulate(full)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two axes symmetrically by ``pad``."""
-        if pad == 0:
-            return self
-        widths = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, widths)
-        sl = tuple(
-            [slice(None)] * (self.ndim - 2) + [slice(pad, -pad), slice(pad, -pad)]
-        )
-
-        def backward(grad):
-            self.accumulate(grad[sl])
 
         return Tensor.from_op(out_data, (self,), backward)
 

@@ -9,7 +9,7 @@ inside the GEMM ops).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import List
 
 import numpy as np
 

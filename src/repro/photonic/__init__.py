@@ -22,7 +22,6 @@ from .crosstalk import (
 from .detection import PhaseDetector, quantize_adc
 from .devices import MMUGeometry, PhaseShifterBank, max_phase_shift
 from .errors import (
-    max_precision_bits,
     mdpu_output_error,
     min_dac_bits,
     mrr_error,
@@ -63,7 +62,6 @@ __all__ = [
     "laser_power_for_modulus",
     "mdpu_output_error",
     "min_dac_bits",
-    "max_precision_bits",
     "phase_shifter_error",
     "mrr_error",
     "output_error_bound",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from . import constants as C
 
@@ -70,48 +70,6 @@ class PhaseShifterBank:
         """Lengths of all segments from LSB to MSB."""
         return [self.unit_length * (1 << d) for d in range(self.digits)]
 
-    @property
-    def unit_voltage(self) -> float:
-        """``V0 = 2 Vπ / m`` — the drive producing one ``2π/m`` unit phase
-        step in an LSB-long shifter (Section IV-A)."""
-        v_pi = self.v_pi_l / self.unit_length
-        return 2.0 * v_pi / self.modulus
-
-    def drive_voltage(self, weight_residue: int) -> float:
-        """Per-arm drive voltage encoding a (signed-mapped) weight residue.
-
-        The dual-rail MZM applies ``+V`` and ``-V`` to the symmetric arms,
-        each contributing half the phase (Section IV-A: "15/2 Φ0 from each
-        arm"), so the per-arm drive is ``w * V0 / 2``.  With the signed
-        mapping ``|w| <= ceil((m-1)/2)`` this stays within V_bias — for
-        m = 33 the worst case is 16 * V0 / 2 ≈ 1.06 V vs V_bias = 1.08 V,
-        which is how the paper's Eq. 11 sizing closes.
-        """
-        v = weight_residue * self.unit_voltage / 2.0
-        if abs(v) > self.v_bias * (1 + 1e-9):
-            raise ValueError(
-                f"residue {weight_residue} needs |V|={abs(v):.3f} per arm "
-                f"> V_bias={self.v_bias}"
-            )
-        return v
-
-    def phase_for(self, weight_residue: int, input_digit_mask: int) -> float:
-        """Physical phase produced for a weight residue and input digit mask.
-
-        Sums ``(2π/m) * w * 2^d`` over set digits — this is the *unwrapped*
-        phase; wrapping happens physically.
-        """
-        step = 2.0 * math.pi / self.modulus
-        total = 0.0
-        for d in range(self.digits):
-            if input_digit_mask >> d & 1:
-                total += step * weight_residue * (1 << d)
-        return total
-
-    def worst_case_loss_db(self) -> float:
-        """Optical loss when the light traverses every digit segment."""
-        return self.loss_db_per_m * self.total_length
-
 
 @dataclass(frozen=True)
 class MMUGeometry:
@@ -156,7 +114,3 @@ class MMUGeometry:
             clear_loss += self.mrr_coupled_loss_db
         per_digit = duty * set_loss + (1 - duty) * clear_loss
         return per_digit + 2 * self.bend_loss_db
-
-    def worst_case_loss_db(self) -> float:
-        """Loss with every digit set (used for SNR sizing)."""
-        return self.loss_db(duty=1.0)

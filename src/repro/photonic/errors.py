@@ -15,7 +15,6 @@ result that 8-bit DACs suffice for ``b_out >= log2 m`` at ``h = 16``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "phase_shifter_error",
@@ -23,7 +22,6 @@ __all__ = [
     "mdpu_output_error",
     "output_error_bound",
     "min_dac_bits",
-    "max_precision_bits",
 ]
 
 # The paper quotes a conservative bound of 0.3% per MRR, but with that
@@ -92,16 +90,3 @@ def min_dac_bits(
         f"no DAC precision <= {max_bits} bits meets ΔΦ_out <= 2^-{b_out} "
         f"(MRR error floor: {mdpu_output_error(h, modulus, max_bits, mrr_rel_error):.2e})"
     )
-
-
-def max_precision_bits(
-    h: int,
-    modulus: int,
-    dac_bits: int,
-    mrr_rel_error: float = DEFAULT_MRR_ERROR,
-) -> int:
-    """Largest ``b_out`` whose budget the accumulated error satisfies."""
-    err = mdpu_output_error(h, modulus, dac_bits, mrr_rel_error)
-    if err <= 0:
-        raise ValueError("error must be positive")
-    return int(math.floor(-math.log2(err)))

@@ -14,8 +14,7 @@ energy-per-MAC curve of Fig. 5b upward at large group sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from . import constants as C
 from .devices import MMUGeometry, PhaseShifterBank

@@ -8,7 +8,6 @@ and the redundant-RNS codec (:class:`RRNSCodec`).
 from .arithmetic import (
     RnsTensor,
     mod_add,
-    mod_dot,
     mod_matmul,
     mod_mul,
     mod_neg,
@@ -45,16 +44,13 @@ from .base_extension import (
     approx_crt_rank,
     extension_op_counts,
     mrc_base_extend,
-    redundant_modulus_for,
     sk_base_extend,
 )
 from .nonlinear import (
     FixedPointCodec,
-    approximation_error,
     lsq_coefficients,
     rns_polynomial,
     rns_relu,
-    taylor_coefficients,
 )
 from .rrns import DecodeResult, RRNSCodec
 from .scaling import (
@@ -86,7 +82,6 @@ __all__ = [
     "mod_sub",
     "mod_neg",
     "mod_mul",
-    "mod_dot",
     "mod_matmul",
     "RRNSCodec",
     "DecodeResult",
@@ -99,14 +94,11 @@ __all__ = [
     "sk_base_extend",
     "approx_base_extend",
     "approx_crt_rank",
-    "redundant_modulus_for",
     "extension_op_counts",
     "FixedPointCodec",
     "rns_polynomial",
     "rns_relu",
-    "taylor_coefficients",
     "lsq_coefficients",
-    "approximation_error",
     "SearchPoint",
     "greedy_coprime_set",
     "minimal_max_modulus_set",

@@ -25,7 +25,6 @@ __all__ = [
     "mod_sub",
     "mod_neg",
     "mod_mul",
-    "mod_dot",
     "mod_matmul",
     "RnsTensor",
 ]
@@ -78,20 +77,6 @@ def mod_mul(a, b, mset: ModuliSet) -> np.ndarray:
     b = _check_channels(b, mset)
     mods = _mods_column(mset, max(a.ndim, b.ndim) - 1)
     return np.mod(a * b, mods)
-
-
-def mod_dot(x, w, mset: ModuliSet) -> np.ndarray:
-    """Modular dot product per channel: ``| sum_j x_j w_j |_{m_i}``.
-
-    ``x`` and ``w`` have shape ``(n, g)``; the result has shape ``(n,)``.
-    Mirrors one MDPU evaluation (Eq. 12) per modulus.
-    """
-    x = _check_channels(x, mset)
-    w = _check_channels(w, mset)
-    out = np.empty(mset.n, dtype=np.int64)
-    for i, m in enumerate(mset.moduli):
-        out[i] = int(np.sum(x[i].astype(np.int64) * w[i].astype(np.int64))) % m
-    return out
 
 
 def mod_matmul(w, x, mset: ModuliSet) -> np.ndarray:

@@ -39,7 +39,6 @@ __all__ = [
     "sk_base_extend",
     "approx_crt_rank",
     "approx_base_extend",
-    "redundant_modulus_for",
     "extension_op_counts",
 ]
 
@@ -81,21 +80,7 @@ def mrc_base_extend(
     return np.stack(out, axis=0)
 
 
-def redundant_modulus_for(mset: ModuliSet, minimum: int = 0) -> int:
-    """Smallest modulus co-prime with the base and ``>= max(n + 1, minimum)``.
-
-    Shenoy–Kumaresan needs the CRT *rank* (``alpha < n``) to be exactly
-    representable modulo the redundant channel, hence ``m_r > n - 1``; we
-    use ``n + 1`` for one unit of slack.
-    """
-    candidate = max(mset.n + 1, minimum, 2)
-    while True:
-        if all(math.gcd(candidate, m) == 1 for m in mset.moduli):
-            return candidate
-        candidate += 1
-
-
-def sk_base_extend(
+def sk_base_extend(  # repro: waive[dead-public-name] -- Sec. VII pure-RNS base extension that Mirage avoids; kept executable beside mrc_base_extend
     residues: np.ndarray,
     mset: ModuliSet,
     redundant_residue: np.ndarray,

@@ -16,8 +16,6 @@ Signed values are handled by the symmetric mapping around zero
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .moduli import ModuliSet, special_moduli_set
@@ -105,7 +103,7 @@ def forward_convert_signed(values, mset: ModuliSet) -> np.ndarray:
     return forward_convert(from_signed(values, mset), mset)
 
 
-def special_set_forward(values, k: int) -> np.ndarray:
+def special_set_forward(values, k: int) -> np.ndarray:  # repro: waive[dead-public-name] -- Sec. IV-B shift-based forward conversion for the special set
     """Shift-based forward conversion for ``{2^k-1, 2^k, 2^k+1}``.
 
     Implements the Section IV-B identities on non-negative inputs:
@@ -226,7 +224,7 @@ def mixed_radix_digits(residues, mset: ModuliSet) -> np.ndarray:
     return digits
 
 
-def mixed_radix_reverse(residues, mset: ModuliSet) -> np.ndarray:
+def mixed_radix_reverse(residues, mset: ModuliSet) -> np.ndarray:  # repro: waive[dead-public-name] -- independent CRT oracle for the reverse converters
     """RNS → BNS through mixed-radix digits (independent CRT oracle)."""
     digits = mixed_radix_digits(residues, mset)
     big_m = mset.dynamic_range

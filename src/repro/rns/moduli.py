@@ -153,10 +153,6 @@ class ModuliSet:
     # ------------------------------------------------------------------
     # Range checks
     # ------------------------------------------------------------------
-    def supports_signed(self, value: int) -> bool:
-        """True when a signed integer fits in ``[-ψ, M - 1 - ψ]``."""
-        return -self.psi <= value <= self.dynamic_range - 1 - self.psi
-
     def supports_bfp(self, bm: int, g: int) -> bool:
         """Eq. 13: ``log2(M) >= 2 (bm + 1) + log2(g) - 1``.
 

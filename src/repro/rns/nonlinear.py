@@ -18,9 +18,8 @@ Pieces:
   rescale (:func:`repro.rns.scaling.approximate_scale`) and the rescale
   count is reported (it is the dominant hardware cost).
 * :func:`rns_relu` — exact ReLU via mixed-radix sign detection.
-* :func:`taylor_coefficients` / :func:`lsq_coefficients` — approximation
-  helpers for sigmoid / tanh / GELU / exp.
-* :func:`approximation_error` — max/mean error of a fit over an interval.
+* :func:`lsq_coefficients` — least-squares polynomial fits of the
+  :data:`REFERENCE_FUNCTIONS` (sigmoid / tanh / GELU / exp).
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ __all__ = [
     "FixedPointCodec",
     "rns_polynomial",
     "rns_relu",
-    "taylor_coefficients",
     "lsq_coefficients",
-    "approximation_error",
     "REFERENCE_FUNCTIONS",
 ]
 
@@ -144,32 +141,6 @@ def rns_relu(residues: np.ndarray, mset: ModuliSet) -> np.ndarray:
                    mset)
 
 
-def taylor_coefficients(name: str, degree: int) -> Tuple[float, ...]:
-    """Maclaurin coefficients (low-to-high) for a named function.
-
-    Supported: ``sigmoid``, ``tanh``, ``exp``.  These are the expansions
-    the Section VII works cite; they are only accurate near zero, which
-    is why the least-squares fits below do better over realistic
-    activation ranges.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    series: Dict[str, Tuple[float, ...]] = {
-        # sigmoid(x) = 1/2 + x/4 - x^3/48 + x^5/480 - 17 x^7 / 80640 ...
-        "sigmoid": (0.5, 0.25, 0.0, -1.0 / 48, 0.0, 1.0 / 480, 0.0,
-                    -17.0 / 80640),
-        # tanh(x) = x - x^3/3 + 2 x^5 / 15 - 17 x^7 / 315 ...
-        "tanh": (0.0, 1.0, 0.0, -1.0 / 3, 0.0, 2.0 / 15, 0.0, -17.0 / 315),
-        "exp": tuple(1.0 / math.factorial(i) for i in range(8)),
-    }
-    if name not in series:
-        raise ValueError(f"no Taylor table for {name!r}; have {sorted(series)}")
-    coeffs = series[name]
-    if degree + 1 > len(coeffs):
-        raise ValueError(f"degree {degree} exceeds tabulated order for {name!r}")
-    return coeffs[: degree + 1]
-
-
 def lsq_coefficients(
     fn: Callable[[np.ndarray], np.ndarray],
     interval: Tuple[float, float],
@@ -186,17 +157,3 @@ def lsq_coefficients(
         raise ValueError("interval must satisfy lo < hi")
     x = np.linspace(lo, hi, points)
     return tuple(np.polynomial.polynomial.polyfit(x, fn(x), degree))
-
-
-def approximation_error(
-    fn: Callable[[np.ndarray], np.ndarray],
-    coefficients: Sequence[float],
-    interval: Tuple[float, float],
-    points: int = 1024,
-) -> Dict[str, float]:
-    """Max / mean absolute error of a polynomial against ``fn``."""
-    lo, hi = interval
-    x = np.linspace(lo, hi, points)
-    approx = np.polynomial.polynomial.polyval(x, np.asarray(coefficients))
-    err = np.abs(approx - fn(x))
-    return {"max": float(err.max()), "mean": float(err.mean())}

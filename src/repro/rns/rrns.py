@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conversion import forward_convert, to_signed
+from .conversion import forward_convert
 from .moduli import ModuliSet
 
 __all__ = ["RRNSCodec", "DecodeResult"]
@@ -196,15 +196,6 @@ class RRNSCodec:
             details.append(d)
             out[j] = d.value if d.ok else -1
         return out.reshape(res.shape[1:]), details
-
-    def decode_signed(self, residues) -> Tuple[np.ndarray, List[DecodeResult]]:
-        """Decode then map to the signed range of the information set."""
-        values, details = self.decode(residues)
-        ok = values >= 0
-        signed = np.where(
-            ok, np.asarray(to_signed(np.abs(values), self.info_set)), values
-        )
-        return signed, details
 
     # ------------------------------------------------------------------
     def detect(self, residues: Sequence[int]) -> bool:

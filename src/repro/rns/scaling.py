@@ -115,7 +115,7 @@ def approximate_scale(res: np.ndarray, mset: ModuliSet, shift_bits: int) -> np.n
     return forward_convert(np.mod(shifted, mset.dynamic_range), mset)
 
 
-def exact_power_of_two_scale(res: np.ndarray, mset: ModuliSet) -> np.ndarray:
+def exact_power_of_two_scale(res: np.ndarray, mset: ModuliSet) -> np.ndarray:  # repro: waive[dead-public-name] -- Sec. VII exact in-RNS rescaling that Mirage avoids by returning to BFP
     """True in-RNS arithmetic shift by the set's power-of-two channel.
 
     For a set containing a modulus ``2^k`` (e.g. the special family),

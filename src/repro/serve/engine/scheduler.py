@@ -54,7 +54,7 @@ import numpy as np
 from ...arch.inference import (
     attention_token_latency,
     chunked_prefill_latency,
-    decode_step_latency,  # no call here: bound for perfbench/tracing.py
+    decode_step_latency,  # repro: waive[unused-import] -- perfbench/tracing.py wraps this module attribute as a boundary
 )
 from ...arch.memory import MemorySystemModel
 from ...core.pipeline import PhotonicExecutor
@@ -166,9 +166,7 @@ class EngineConfig:
     ``continuous=False`` switches the loop to the static request-level
     baseline (admission only on a drained batch, worst-case KV reserved
     up front, finished sessions pad until the batch completes, no
-    prefix reuse or chunking).  ``preemption`` gates *admission-driven*
-    priority preemption; KV-pressure requeue during decode growth is
-    always allowed (the loop cannot deadlock on a full pool).
+    prefix reuse or chunking).
 
     ``prefix_caching`` lets sessions whose prompts share a head attach
     to cached KV blocks (prefill work is priced only for the uncached
@@ -192,7 +190,6 @@ class EngineConfig:
     max_prefills_per_step: int = 4
     block_tokens: int = 16
     kv_fraction: float = 0.5
-    preemption: bool = True
     continuous: bool = True
     execute: bool = True
     prefix_caching: bool = True
@@ -603,7 +600,7 @@ class TokenServingEngine:
             reserved = self.kv.reserve(
                 candidate.session_id, tokens, prompt_tokens=prompt_tokens
             )
-            if not reserved and cfg.continuous and cfg.preemption:
+            if not reserved and cfg.continuous:
                 self._preempt_for_admission(
                     candidate, tokens, prompt_tokens, waiting, running
                 )

@@ -22,7 +22,7 @@ the profile's :class:`~repro.nn.attention.KVCacheSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

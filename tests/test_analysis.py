@@ -1,6 +1,5 @@
 """Tests for the experiment harness and reporting helpers."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (

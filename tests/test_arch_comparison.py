@@ -1,14 +1,10 @@
 """Tests for the iso-energy / iso-area comparison harness (Fig. 8) and
 the inference comparison (Table III) — the paper's headline claims."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.arch import (
     MirageAccelerator,
-    MirageConfig,
     TABLE_II_FORMATS,
     compare_workload,
     evaluate_systolic,

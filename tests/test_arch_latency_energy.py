@@ -1,14 +1,10 @@
 """Tests for the latency, energy, area and converter models."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.arch import (
     EnergyParams,
     GemmShape,
-    MirageAccelerator,
     MirageConfig,
     SystolicConfig,
     TABLE_II_FORMATS,

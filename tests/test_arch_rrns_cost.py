@@ -1,12 +1,9 @@
 """Tests for the RRNS protection cost model (Section VI-E closing claim)."""
 
-import math
-
 import pytest
 
 from repro.arch import (
     MirageConfig,
-    RrnsOverhead,
     redundant_ladder,
     rrns_design_table,
     rrns_overhead,

@@ -1,13 +1,11 @@
 """Tests for GEMM tiling, utilisation and dataflow scheduling."""
 
-import numpy as np
 import pytest
 
 from repro.arch import (
     GemmShape,
     MIRAGE_DATAFLOWS,
     MirageConfig,
-    SYSTOLIC_DATAFLOWS,
     map_gemm,
     mirage_latency_fn,
     schedule_fixed,

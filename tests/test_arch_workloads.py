@@ -1,6 +1,5 @@
 """Tests for the full-size workload definitions."""
 
-import numpy as np
 import pytest
 
 from repro.arch import (

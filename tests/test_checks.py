@@ -3,9 +3,8 @@
 Fixture files with deliberate violations live in
 ``tests/checks_fixtures/`` (excluded from the tier-1 gate via
 pyproject).  Each rule gets a positive (bad_*) and negative (ok_*)
-check; the waiver and baseline mechanisms get round-trips; the layering
-test asserts the real import DAG of src/repro matches the declared
-order.
+check; the waiver mechanism gets round-trips; the layering test asserts
+the real import DAG of src/repro matches the declared order.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.checks import CheckConfig, load_config, run_checks
-from repro.checks.baseline import load_baseline, write_baseline
 from repro.checks.cli import main as cli_main
 from repro.checks.registry import all_rules, module_name_for
 from repro.checks.rules.layering import _imports_of, _package_of
@@ -36,7 +34,6 @@ def fixture_config(**overrides) -> CheckConfig:
         exclude=(),
         clock_paths=("tests/checks_fixtures",),
         wallclock_allow=(),
-        baseline="nonexistent-baseline.json",
     )
     defaults.update(overrides)
     return CheckConfig(**defaults)
@@ -44,9 +41,7 @@ def fixture_config(**overrides) -> CheckConfig:
 
 def run_fixture(name: str, profile: str = "strict", **overrides):
     cfg = fixture_config(**overrides)
-    return run_checks(
-        [FIXTURES / name], profile=profile, config=cfg, use_baseline=False
-    )
+    return run_checks([FIXTURES / name], profile=profile, config=cfg)
 
 
 def active_rules(report):
@@ -134,13 +129,12 @@ def test_waiver_syntax_in_strings_is_inert():
         [REPO / "src" / "repro" / "checks" / "waivers.py"],
         profile="strict",
         config=fixture_config(),
-        use_baseline=False,
     )
     assert "waiver-unused" not in {f.rule for f in report.findings}
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# configuration
 
 
 def _write_violating_tree(tmp_path: Path) -> Path:
@@ -152,52 +146,102 @@ def _write_violating_tree(tmp_path: Path) -> Path:
     return mod
 
 
-def test_baseline_round_trip(tmp_path):
+@pytest.mark.parametrize("line", [
+    'relaxed-disabled = ["hygiene-bare-except"]',
+    'baseline = "checks-baseline.json"',
+], ids=["misspelt-key", "retired-key"])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, line):
+    """A misspelt or retired key must not leave a default silently in force."""
     mod = _write_violating_tree(tmp_path)
-    cfg = fixture_config(root=tmp_path, baseline="baseline.json")
-    report = run_checks([mod], config=cfg, use_baseline=False)
-    assert active_rules(report) == ["determinism-seedless-rng"]
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text(f"[tool.repro-checks]\n{line}\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ValueError, match=key):
+        load_config(pyproject)
+    assert cli_main([str(mod), "--config", str(pyproject)]) == 2
+    assert key in capsys.readouterr().err
 
-    n = write_baseline(cfg.baseline_path(), report.active)
-    assert n == 1
-    assert load_baseline(cfg.baseline_path())
 
-    # Same violation now rides the baseline: run is clean.
-    report2 = run_checks([mod], config=cfg, use_baseline=True)
-    assert report2.active == [], report2.render_text()
-    assert [f.rule for f in report2.findings if f.baselined] == [
-        "determinism-seedless-rng"
+# ---------------------------------------------------------------------------
+# unused-import
+
+UNUSED_IMPORTS = '''
+    """One import per way of being read or not."""
+    from __future__ import annotations
+
+    import json
+    import os.path
+    from collections import OrderedDict as Ordered
+    import numpy as np
+    from typing import Deque, Dict
+    from .sibling import exported
+    import textwrap  # repro: waive[unused-import] -- kept for a caller that imports it from here
+
+    __all__ = ["exported"]
+
+
+    def zeros(table: "Dict[str, Deque[int]]"):
+        return np.zeros(len(table))
+'''
+
+
+def unused_import_tree(tmp_path: Path) -> Path:
+    mod = tmp_path / "mod.py"
+    mod.write_text(textwrap.dedent(UNUSED_IMPORTS).lstrip())
+    package = tmp_path / "pkg" / "__init__.py"
+    package.parent.mkdir()
+    package.write_text('"""Re-exports."""\nfrom json import dumps\n')
+    return mod
+
+
+def unused_imports(report) -> list:
+    return [
+        (f.path, f.line, f.message.split("'")[1])
+        for f in report.active
+        if f.rule == "unused-import"
     ]
 
-    # Fingerprint survives line drift (insert a comment line above)...
-    mod.write_text(mod.read_text().replace(
-        "def draw():", "# moved down a line\ndef draw():"
-    ))
-    report3 = run_checks([mod], config=cfg, use_baseline=True)
-    assert report3.active == [], report3.render_text()
 
-    # ...but dies with the line: fixing the code strands the entry.
-    mod.write_text(mod.read_text().replace(
-        "np.random.default_rng().normal()", "np.random.default_rng(0).normal()"
-    ))
-    report4 = run_checks([mod], config=cfg, use_baseline=True)
-    assert active_rules(report4) == ["baseline-stale"]
+@pytest.mark.parametrize("profile", ["strict", "relaxed"])
+def test_unused_import_flags_unread_bindings_on_their_line(tmp_path, profile):
+    mod = unused_import_tree(tmp_path)
+    report = run_checks(
+        [tmp_path], profile=profile, config=fixture_config(root=tmp_path)
+    )
+    found = unused_imports(report)
+    assert [name for _, _, name in found] == ["json", "os", "Ordered"]
+    lines = mod.read_text().splitlines()
+    assert [lines[line - 1] for path, line, _ in found] == [
+        "import json",
+        "import os.path",
+        "from collections import OrderedDict as Ordered",
+    ]
+    assert {path for path, _, _ in found} == {"mod.py"}
 
 
-def test_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
+def test_unused_import_spares_reads_reexports_and_waivers(tmp_path):
+    """Attribute roots, quoted annotations, ``__all__``, ``__future__``,
+    package ``__init__`` re-exports and a reasoned waiver all pass."""
+    mod = unused_import_tree(tmp_path)
+    mod.write_text("\n".join(
+        line for line in mod.read_text().splitlines()
+        if not line.startswith(("import json", "import os", "from collections"))
+    ) + "\n")
+    report = run_checks([tmp_path], config=fixture_config(root=tmp_path))
+    assert report.active == [], report.render_text()
+    waived = [f for f in report.findings if f.waived]
+    assert [(f.rule, f.line) for f in waived] == [("unused-import", 7)]
 
 
-def test_baseline_entries_of_unchecked_files_are_not_stale(tmp_path):
-    mod = _write_violating_tree(tmp_path)
-    other = tmp_path / "other.py"
-    other.write_text('"""Clean module."""\n')
-    cfg = fixture_config(root=tmp_path, baseline="baseline.json")
-    report = run_checks([mod], config=cfg, use_baseline=False)
-    assert write_baseline(cfg.baseline_path(), report.active) == 1
-    assert run_checks([other], config=cfg).active == []
-    relaxed = run_checks([mod], profile="relaxed", config=cfg)
-    assert relaxed.active == [], relaxed.render_text()
+def test_unused_import_waiver_goes_stale_once_read(tmp_path):
+    mod = unused_import_tree(tmp_path)
+    report = run_checks([mod], config=fixture_config(root=tmp_path))
+    assert "textwrap" not in [name for _, _, name in unused_imports(report)]
+    assert [f.rule for f in report.findings if f.waived] == ["unused-import"]
+
+    mod.write_text(mod.read_text() + "\n\nINDENT = textwrap.indent\n")
+    report = run_checks([mod], config=fixture_config(root=tmp_path))
+    assert "waiver-unused" in active_rules(report)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +260,6 @@ def test_layering_upward_and_cycle():
         [FIXTURES / "layerpkg"],
         profile="strict",
         config=layer_fixture_config(),
-        use_baseline=False,
     )
     rules = active_rules(report)
     assert "layering-upward-import" in rules, report.render_text()
@@ -236,7 +279,6 @@ def test_layering_undeclared_package():
         config=fixture_config(
             layer_root="layerpkg", layers=(("low",),)
         ),
-        use_baseline=False,
     )
     assert "layering-undeclared-package" in active_rules(report)
 
@@ -408,7 +450,7 @@ def dead_names(report, path_suffix: str = "") -> list:
 
 def test_dead_public_name_flags_only_unreferenced_src_names(tmp_path):
     cfg = dead_project(tmp_path)
-    report = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    report = run_checks([tmp_path / "src"], config=cfg)
     assert dead_names(report) == DEAD_EXPECTED, report.render_text()
     finding = next(f for f in report.active if "unused_method" in f.message)
     assert finding.path == "src/pkg/core.py"
@@ -419,19 +461,19 @@ def test_dead_public_name_flags_only_unreferenced_src_names(tmp_path):
 def test_dead_public_name_ignores_code_outside_src(tmp_path):
     cfg = dead_project(tmp_path)
     roots = [tmp_path / d for d in ("src", "benchmarks", "perfbench", "tests")]
-    report = run_checks(roots, config=cfg, use_baseline=False)
+    report = run_checks(roots, config=cfg)
     assert dead_names(report) == DEAD_EXPECTED  # no bench/test helper
     relaxed = run_checks(
-        roots[1:], profile="relaxed", config=cfg, use_baseline=False
+        roots[1:], profile="relaxed", config=cfg
     )
     assert dead_names(relaxed) == []
 
 
 def test_dead_public_name_is_the_same_for_one_file(tmp_path):
     cfg = dead_project(tmp_path)
-    whole = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    whole = run_checks([tmp_path / "src"], config=cfg)
     one = run_checks(
-        [tmp_path / "src" / "pkg" / "core.py"], config=cfg, use_baseline=False
+        [tmp_path / "src" / "pkg" / "core.py"], config=cfg
     )
     assert dead_names(one) == dead_names(whole, "core.py") == DEAD_EXPECTED
 
@@ -443,7 +485,7 @@ def test_dead_public_name_waiver_goes_stale_once_referenced(tmp_path):
         "def unused_function():",
         "def unused_function():  # repro: waive[dead-public-name] -- kept",
     ))
-    report = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    report = run_checks([tmp_path / "src"], config=cfg)
     assert "unused_function" not in dead_names(report)
     waived = [f for f in report.findings if f.waived]
     assert [f.rule for f in waived] == ["dead-public-name"]
@@ -452,7 +494,7 @@ def test_dead_public_name_waiver_goes_stale_once_referenced(tmp_path):
     bench = tmp_path / "examples" / "demo.py"
     bench.parent.mkdir()
     bench.write_text("from pkg.core import unused_function\n\nunused_function()\n")
-    report = run_checks([tmp_path / "src"], config=cfg, use_baseline=False)
+    report = run_checks([tmp_path / "src"], config=cfg)
     assert "unused_function" not in dead_names(report)
     assert "waiver-unused" in active_rules(report)
 
@@ -467,7 +509,6 @@ def test_json_output_schema(capsys):
             str(FIXTURES / "bad_mutable_default.py"),
             "--format", "json",
             "--config", str(REPO / "pyproject.toml"),
-            "--no-baseline",
         ]
     )
     payload = json.loads(capsys.readouterr().out)
@@ -480,12 +521,9 @@ def test_json_output_schema(capsys):
     # Bypass the exclusion to get a populated report.
     report = run_fixture("bad_mutable_default.py")
     payload = json.loads(report.render_json())
-    (finding,) = [
-        f for f in payload["findings"] if not f["waived"] and not f["baselined"]
-    ]
+    (finding,) = [f for f in payload["findings"] if not f["waived"]]
     assert set(finding) == {
-        "rule", "path", "line", "col", "message", "fingerprint", "waived",
-        "waive_reason", "baselined",
+        "rule", "path", "line", "col", "message", "waived", "waive_reason",
     }
     assert finding["rule"] == "hygiene-mutable-default"
     assert finding["path"].endswith("bad_mutable_default.py")
@@ -497,15 +535,13 @@ def test_json_output_schema(capsys):
 def test_cli_exit_codes_and_text(capsys, tmp_path):
     mod = _write_violating_tree(tmp_path)
     pyproject = tmp_path / "pyproject.toml"
-    pyproject.write_text("[tool.repro-checks]\nbaseline = 'b.json'\n")
+    pyproject.write_text("[tool.repro-checks]\n")
     rc = cli_main([str(mod), "--config", str(pyproject)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "determinism-seedless-rng" in out
 
-    rc = cli_main([str(mod), "--config", str(pyproject), "--write-baseline"])
-    capsys.readouterr()
-    assert rc == 0
+    mod.write_text(mod.read_text().replace("default_rng()", "default_rng(0)"))
     rc = cli_main([str(mod), "--config", str(pyproject)])
     out = capsys.readouterr().out
     assert rc == 0
@@ -518,12 +554,11 @@ def test_cli_exit_codes_and_text(capsys, tmp_path):
 
 
 def test_cli_module_invocation_on_fixture():
-    """`python -m repro.checks <bad fixture> --no-baseline` exits 1."""
+    """`python -m repro.checks <bad fixture>` with the committed config."""
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.checks",
             str(FIXTURES / "bad_bare_except.py"),
-            "--no-baseline",
             "--config", str(REPO / "pyproject.toml"),
         ],
         capture_output=True, text=True,
@@ -549,6 +584,7 @@ def test_registry_is_complete():
         "hygiene-assert-validation",
         "hygiene-module-side-effect",
         "hygiene-shadow-builtin",
+        "unused-import",
     }
 
 

@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro.analysis`` command-line interface."""
 
-import pytest
-
 from repro.analysis.__main__ import build_registry, main
 
 

@@ -1,6 +1,5 @@
-"""Tests for autoregressive decoding, checkpointing and the design sweep."""
+"""Tests for the architecture design-space sweep."""
 
-import numpy as np
 import pytest
 
 from repro.arch import (
@@ -9,128 +8,6 @@ from repro.arch import (
     pareto_frontier,
     sweep_designs,
 )
-from repro.nn import (
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    Linear,
-    ReLU,
-    Sequential,
-    Tensor,
-    TranslationTransformer,
-    corpus_token_f1,
-    greedy_decode,
-    load_model,
-    make_translation_set,
-    save_model,
-    sequence_accuracy,
-    train_translator,
-)
-from repro.nn.data import BOS_ID, EOS_ID, PAD_ID
-
-
-class TestGreedyDecode:
-    @pytest.fixture(scope="class")
-    def trained(self):
-        train, test = make_translation_set(num_samples=480, length=6, seed=0)
-        model = TranslationTransformer(
-            vocab_size=32, dim=48, num_heads=4, num_layers=2, ff_hidden=96,
-            rng=np.random.default_rng(0),
-        )
-        train_translator(model, train, test, epochs=10, batch_size=32, seed=0)
-        return model, test
-
-    def test_output_shape_and_padding(self, trained):
-        model, test = trained
-        out = greedy_decode(model, test.inputs[:8], max_len=10)
-        assert out.shape == (8, 10)
-        # After an EOS the remainder is padding.
-        for row in out:
-            seen_eos = False
-            for tok in row:
-                if seen_eos:
-                    assert tok == PAD_ID
-                if tok == EOS_ID:
-                    seen_eos = True
-
-    def test_trained_model_generates_correct_sequences(self, trained):
-        model, test = trained
-        gen = greedy_decode(model, test.inputs[:32], max_len=8)
-        acc = sequence_accuracy(gen, test.targets[:32])
-        f1 = corpus_token_f1(gen, test.targets[:32])
-        assert f1 > 0.5
-        assert acc > 0.2  # exact-match is strict; trained model clears it
-
-    def test_untrained_model_near_zero(self):
-        model = TranslationTransformer(vocab_size=16, dim=16, num_heads=2,
-                                       num_layers=1, ff_hidden=32,
-                                       rng=np.random.default_rng(1))
-        _, test = make_translation_set(vocab_size=16, num_samples=40,
-                                       length=5, seed=1)
-        gen = greedy_decode(model, test.inputs, max_len=7)
-        assert sequence_accuracy(gen, test.targets) <= 0.2
-
-
-class TestMetrics:
-    def test_sequence_accuracy_exact(self):
-        ref = np.array([[BOS_ID, 5, 6, EOS_ID]])
-        good = np.array([[5, 6, EOS_ID, PAD_ID]])
-        bad = np.array([[6, 5, EOS_ID, PAD_ID]])
-        assert sequence_accuracy(good, ref) == 1.0
-        assert sequence_accuracy(bad, ref) == 0.0
-
-    def test_token_f1_partial_credit(self):
-        ref = np.array([[5, 6, 7, EOS_ID]])
-        half = np.array([[5, 6, 9, EOS_ID]])
-        assert 0.0 < corpus_token_f1(half, ref) < 1.0
-
-    def test_token_f1_empty_generation(self):
-        ref = np.array([[5, EOS_ID]])
-        empty = np.array([[EOS_ID, PAD_ID]])
-        assert corpus_token_f1(empty, ref) == 0.0
-
-
-class TestSerialization:
-    def _model(self, seed):
-        return Sequential(
-            Conv2d(1, 4, 3, padding=1, rng=np.random.default_rng(seed)),
-            BatchNorm2d(4),
-            ReLU(),
-            Flatten(),
-            Linear(4 * 6 * 6, 3, rng=np.random.default_rng(seed + 1)),
-        )
-
-    def test_roundtrip_identical_outputs(self, tmp_path, rng):
-        m1 = self._model(0)
-        x = rng.normal(size=(4, 1, 6, 6))
-        # Touch the batchnorm stats so buffers are non-trivial.
-        for _ in range(3):
-            m1(Tensor(rng.normal(size=(8, 1, 6, 6))))
-        path = tmp_path / "ckpt.npz"
-        save_model(m1, path)
-        m2 = self._model(99)
-        load_model(m2, path)
-        m1.eval(), m2.eval()
-        np.testing.assert_array_equal(m1(Tensor(x)).data, m2(Tensor(x)).data)
-
-    def test_buffers_restored(self, tmp_path, rng):
-        m1 = self._model(0)
-        m1(Tensor(rng.normal(loc=5.0, size=(16, 1, 6, 6))))
-        path = tmp_path / "ckpt.npz"
-        save_model(m1, path)
-        m2 = self._model(1)
-        load_model(m2, path)
-        np.testing.assert_allclose(
-            m2.layers[1].running_mean, m1.layers[1].running_mean
-        )
-
-    def test_mismatched_architecture_raises(self, tmp_path):
-        m1 = self._model(0)
-        path = tmp_path / "ckpt.npz"
-        save_model(m1, path)
-        wrong = Sequential(Linear(4, 2))
-        with pytest.raises((KeyError, ValueError)):
-            load_model(wrong, path)
 
 
 class TestDesignSweep:

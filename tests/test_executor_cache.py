@@ -8,7 +8,6 @@ monotonic tokens, not ``id(layer)``, so a garbage-collected layer whose
 import gc
 
 import numpy as np
-import pytest
 
 from repro.core import PhotonicExecutor
 from repro.nn import Linear

@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from repro.analysis import AccuracySetup, run_accuracy
-from repro.bfp import BFPConfig, bfp_matmul_fast
-from repro.core import CoreConfig, PhotonicRnsTensorCore
+from repro.bfp import BFPConfig, quantize_tensor
+from repro.core import PhotonicRnsTensorCore
 from repro.nn import (
     Flatten,
-    Linear,
     QuantizedLinear,
     ReLU,
     SGD,
@@ -60,7 +59,8 @@ class TestCoreVsAccuracyModel:
         w = rng.normal(size=(24, 48))
         x = rng.normal(size=(48, 6))
         photonic = core.matmul(w, x)
-        fast = bfp_matmul_fast(w, x, BFPConfig(4, 16))
+        cfg = BFPConfig(4, 16)
+        fast = quantize_tensor(w, cfg, axis=-1) @ quantize_tensor(x, cfg, axis=0)
         np.testing.assert_allclose(photonic, fast, rtol=0, atol=1e-9)
 
     def test_trained_weights_transfer_to_core(self, rng):

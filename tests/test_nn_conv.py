@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2d,
     Conv2d,
     GlobalAvgPool2d,
     MaxPool2d,
@@ -128,16 +127,6 @@ class TestPooling:
         x = rng.normal(size=(1, 2, 6, 6))
         out = MaxPool2d(3, stride=3)(Tensor(x))
         assert out.shape == (1, 2, 2, 2)
-
-    def test_avgpool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2)(Tensor(x)).data
-        assert np.array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avgpool_gradient_uniform(self):
-        t = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        AvgPool2d(2)(t).sum().backward()
-        assert np.allclose(t.grad, 0.25)
 
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))

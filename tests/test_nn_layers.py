@@ -1,22 +1,19 @@
 """Tests for Module machinery and basic layers."""
 
+from operator import methodcaller
+
 import numpy as np
 import pytest
 
 from repro.nn import (
-    BatchNorm1d,
     BatchNorm2d,
     Dropout,
     Embedding,
     Flatten,
-    GELU,
     LayerNorm,
     Linear,
-    Module,
-    Parameter,
     ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
     Tensor,
 )
@@ -29,10 +26,6 @@ class TestModule:
         assert "layers.0.weight" in names
         assert "layers.2.bias" in names
         assert len(model.parameters()) == 4
-
-    def test_num_parameters(self, rng):
-        model = Linear(10, 5, rng=rng)
-        assert model.num_parameters() == 10 * 5 + 5
 
     def test_train_eval_propagates(self, rng):
         model = Sequential(Linear(2, 2, rng=rng), Dropout(0.5))
@@ -85,18 +78,11 @@ class TestActivations:
     @pytest.mark.parametrize("act,check", [
         (ReLU(), lambda y, x: np.array_equal(y, np.maximum(x, 0))),
         (Tanh(), lambda y, x: np.allclose(y, np.tanh(x))),
-        (Sigmoid(), lambda y, x: np.allclose(y, 1 / (1 + np.exp(-x)))),
+        (methodcaller("sigmoid"), lambda y, x: np.allclose(y, 1 / (1 + np.exp(-x)))),
     ])
     def test_forward_values(self, act, check, rng):
         x = rng.normal(size=(3, 4))
         assert check(act(Tensor(x)).data, x)
-
-    def test_gelu_midpoint_and_tails(self):
-        g = GELU()
-        out = g(Tensor(np.array([0.0, 10.0, -10.0]))).data
-        assert out[0] == pytest.approx(0.0)
-        assert out[1] == pytest.approx(10.0, rel=1e-3)
-        assert out[2] == pytest.approx(0.0, abs=1e-3)
 
 
 class TestFlatten:
@@ -147,10 +133,6 @@ class TestBatchNorm:
         bn.training = False
         out = bn(Tensor(x)).data
         assert abs(out.mean()) < 0.2
-
-    def test_bn1d_shape_check(self, rng):
-        with pytest.raises(ValueError):
-            BatchNorm1d(4)(Tensor(rng.normal(size=(2, 4, 4))))
 
     def test_bn2d_shape_check(self, rng):
         with pytest.raises(ValueError):

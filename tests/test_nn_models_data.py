@@ -18,7 +18,7 @@ from repro.nn import (
     train_detector,
     train_translator,
 )
-from repro.nn.data import BOS_ID, EOS_ID, PAD_ID
+from repro.nn.data import BOS_ID, EOS_ID
 
 
 class TestShapeImages:

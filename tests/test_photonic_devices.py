@@ -56,26 +56,6 @@ class TestPhaseShifterBank:
         phase = bank.v_bias * bank.total_length / bank.v_pi_l * math.pi
         assert phase == pytest.approx(max_phase_shift(33), rel=1e-9)
 
-    def test_unit_voltage_produces_unit_step(self):
-        """V0 on the LSB segment gives a 2π/m phase step."""
-        bank = PhaseShifterBank(31)
-        v_pi = bank.v_pi_l / bank.unit_length
-        phase = bank.unit_voltage / v_pi * math.pi
-        assert phase == pytest.approx(TWO_PI / 31)
-
-    def test_drive_voltage_within_bias(self):
-        bank = PhaseShifterBank(33)
-        # max drive: residue (m-1)/2 mapped around zero... paper drives up
-        # to ceil((m-1)/2) * V0; full-range residue m-1 exceeds the bias.
-        assert bank.drive_voltage(16) <= bank.v_bias
-        with pytest.raises(ValueError):
-            bank.drive_voltage(100)
-
-    def test_phase_for_digit_mask(self):
-        bank = PhaseShifterBank(7)
-        # x = 0b101 = 5, w = 3: phase = (2pi/7) * 3 * 5
-        assert bank.phase_for(3, 0b101) == pytest.approx(TWO_PI / 7 * 15)
-
 
 class TestMMUGeometry:
     def test_paper_mmu_length(self):

@@ -14,7 +14,7 @@ from repro.photonic import (
     quantize_adc,
 )
 from repro.photonic.mmu import TWO_PI
-from repro.rns import mod_matmul, special_moduli_set
+from repro.rns import mod_matmul
 
 
 class TestQuantizeAdc:

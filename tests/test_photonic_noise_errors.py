@@ -2,13 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.photonic import (
     OpticalPathBudget,
     laser_power_for_modulus,
-    max_precision_bits,
     mdpu_output_error,
     min_dac_bits,
     required_photocurrent,
@@ -123,11 +121,6 @@ class TestEq14:
         the discrepancy documented in EXPERIMENTS.md."""
         with pytest.raises(ValueError):
             min_dac_bits(16, 32, 5, mrr_rel_error=0.003)
-
-    def test_max_precision_bits_inverse(self):
-        bits = max_precision_bits(16, 32, 8)
-        assert mdpu_output_error(16, 32, 8) <= 2.0**-bits
-        assert mdpu_output_error(16, 32, 8) > 2.0 ** -(bits + 1)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ the paper's headline claims would silently stop holding.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from repro.arch import GemmShape, MirageConfig, mirage_gemm_latency, map_gemm
 from repro.bfp import BFPConfig, bfp_matmul_exact
 from repro.core import CoreConfig, PhotonicRnsTensorCore
 from repro.rns import (
-    ModuliSet,
     RRNSCodec,
     choose_k_min,
     crt_reverse_signed,
@@ -88,8 +86,8 @@ class TestCoreContracts:
             assume(False)
         ms = special_moduli_set(k)
         worst = g * (2**bm - 1) ** 2
-        assert ms.supports_signed(worst)
-        assert ms.supports_signed(-worst)
+        # The signed range is [-psi, M - 1 - psi].
+        assert -ms.psi <= -worst and worst <= ms.dynamic_range - 1 - ms.psi
 
 
 class TestArchContracts:

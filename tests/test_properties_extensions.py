@@ -8,7 +8,6 @@ and the RRNS/moduli-search cost tools.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,7 @@ from repro.arch import (
     rrns_overhead,
     simulate_gemm,
 )
-from repro.arch.dnnara import OneHotModularUnit, is_prime
+from repro.arch.dnnara import OneHotModularUnit
 from repro.arch.pim import PimConfig, bitsliced_matmul
 from repro.arch.workloads import GemmShape
 from repro.photonic.crosstalk import crosstalk_error_rate

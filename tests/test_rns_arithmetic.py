@@ -10,7 +10,6 @@ from repro.rns import (
     RnsTensor,
     forward_convert_signed,
     mod_add,
-    mod_dot,
     mod_matmul,
     mod_mul,
     mod_neg,
@@ -65,15 +64,6 @@ class TestModOps:
 
 
 class TestModDotMatmul:
-    def test_dot_matches_integer_dot(self, mset5, rng):
-        x = rng.integers(-15, 16, size=16)
-        w = rng.integers(-15, 16, size=16)
-        res = mod_dot(
-            forward_convert_signed(x, mset5), forward_convert_signed(w, mset5), mset5
-        )
-        expected = forward_convert_signed(np.array(int(x @ w)), mset5)
-        assert np.array_equal(res, expected)
-
     def test_matmul_matches_integer_matmul(self, mset5, rng):
         w = rng.integers(-15, 16, size=(8, 16))
         x = rng.integers(-15, 16, size=(16, 5))

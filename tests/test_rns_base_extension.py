@@ -1,5 +1,8 @@
 """Tests for base extension (Szabo–Tanaka, Shenoy–Kumaresan, approx CRT)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +15,20 @@ from repro.rns import (
     extension_op_counts,
     forward_convert,
     mrc_base_extend,
-    redundant_modulus_for,
     sk_base_extend,
     special_moduli_set,
 )
 
 TARGETS = (7, 13)  # co-prime with {31, 32, 33}
+
+
+def _coprime_modulus(mset, minimum=0):
+    """Smallest modulus >= max(n + 1, minimum) co-prime with the base: a
+    valid Shenoy–Kumaresan redundant channel (it needs m_r > n - 1)."""
+    return next(
+        m for m in itertools.count(max(mset.n + 1, minimum))
+        if all(math.gcd(m, b) == 1 for b in mset.moduli)
+    )
 
 
 def _random_case(mset, rng, size=500):
@@ -55,25 +66,10 @@ class TestMrcBaseExtend:
             mrc_base_extend(res, mset5, (1,))
 
 
-class TestRedundantModulus:
-    def test_exceeds_n(self, mset5):
-        m_r = redundant_modulus_for(mset5)
-        assert m_r > mset5.n - 1
-        assert all(np.gcd(m_r, m) == 1 for m in mset5.moduli)
-
-    def test_minimum_respected(self, mset5):
-        assert redundant_modulus_for(mset5, minimum=40) >= 40
-
-    def test_skips_shared_factors(self):
-        ms = ModuliSet((4, 9, 25))  # 2, 3, 5 all taken
-        m_r = redundant_modulus_for(ms)
-        assert all(np.gcd(m_r, m) == 1 for m in ms.moduli)
-
-
 class TestShenoyKumaresan:
     def test_matches_direct_modulo(self, mset5, rng):
         values, res = _random_case(mset5, rng)
-        m_r = redundant_modulus_for(mset5)
+        m_r = _coprime_modulus(mset5)
         got = sk_base_extend(res, mset5, values % m_r, m_r, TARGETS)
         want = np.stack([values % p for p in TARGETS])
         assert np.array_equal(got, want)
@@ -81,7 +77,7 @@ class TestShenoyKumaresan:
     def test_exhaustive_small_base(self, small_mset):
         values = np.arange(small_mset.dynamic_range)
         res = forward_convert(values, small_mset)
-        m_r = redundant_modulus_for(small_mset)
+        m_r = _coprime_modulus(small_mset)
         got = sk_base_extend(res, small_mset, values % m_r, m_r, (11, 13))
         assert np.array_equal(got, np.stack([values % 11, values % 13]))
 
@@ -154,8 +150,8 @@ class TestBaseExtensionProperties:
         mset = special_moduli_set(k)
         values = np.array([v % mset.dynamic_range for v in raw])
         res = forward_convert(values, mset)
-        m_r = redundant_modulus_for(mset)
-        target = (redundant_modulus_for(mset, minimum=m_r + 1),)
+        m_r = _coprime_modulus(mset)
+        target = (_coprime_modulus(mset, minimum=m_r + 1),)
         a = mrc_base_extend(res, mset, target)
         b = sk_base_extend(res, mset, values % m_r, m_r, target)
         assert np.array_equal(a, b)

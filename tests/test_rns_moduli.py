@@ -1,7 +1,5 @@
 """Tests for moduli sets and the Eq. 13 sizing rule."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,13 +130,6 @@ class TestEq13:
 
 
 class TestSignedRange:
-    def test_supports_signed_boundaries(self):
-        ms = ModuliSet((3, 5, 7))  # M=105, psi=52
-        assert ms.supports_signed(-52)
-        assert ms.supports_signed(52)
-        assert not ms.supports_signed(-53)
-        assert not ms.supports_signed(105)
-
     @given(st.integers(min_value=2, max_value=10))
     @settings(max_examples=20, deadline=None)
     def test_psi_halves_range(self, k):

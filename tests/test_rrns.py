@@ -84,16 +84,6 @@ class TestEncodeDecode:
         enc[2, 0] = (enc[2, 0] + 1) % codec.full_set.moduli[2]
         assert codec.detect(enc[:, 0])
 
-    def test_decode_signed(self):
-        codec = RRNSCodec((7, 8, 9), (11, 13))
-        # encode a negative value via the info set's signed mapping
-        value = -50
-        rep = value % codec.legal_range
-        enc = codec.encode(np.array([rep]))
-        signed, details = codec.decode_signed(enc)
-        assert details[0].ok
-        assert signed[0] == value
-
 
 class TestLargerCodec:
     def test_paper_scale_codec(self, rng):

@@ -6,7 +6,6 @@ import pytest
 from repro.nn import Linear, ReLU, Sequential
 from repro.serve import (
     AdmissionQueue,
-    Autoscaler,
     AutoscalerPolicy,
     BatchPolicy,
     ExecutorPool,

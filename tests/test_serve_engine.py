@@ -149,11 +149,6 @@ class TestKVCacheSpec:
         assert spec.bytes_per_token == 2 * 3 * 32 * 2
         assert spec.bytes_per_token == kv_cache_bytes_per_token(32, 4, 3)
 
-    def test_kv_shape_and_bytes(self):
-        spec = KVCacheSpec(num_layers=2, num_heads=2, head_dim=4, bytes_per_element=1)
-        assert spec.kv_shape(10) == (2, 2, 2, 10, 4)
-        assert spec.kv_bytes(10) == 10 * spec.bytes_per_token
-
     def test_validation(self):
         with pytest.raises(ValueError):
             KVCacheSpec(num_layers=0, num_heads=2, head_dim=4)
@@ -438,24 +433,6 @@ class TestEngineScheduling:
             assert len(record.prefill_chunks) <= record.batch
             if record.batch == 1 and record.context_lens[0] > 4:
                 assert record.prefill_chunks == ()
-
-    def test_no_preemption_flag_blocks_admission_eviction(self):
-        engine = make_engine(
-            blocks=8, block_tokens=2, max_batch_size=4, preemption=False
-        )
-        sc = session_scenario(
-            [
-                (0.0, Priority.BATCH, 4, 4),
-                (0.0, Priority.BATCH, 4, 4),
-                (1e-9, Priority.INTERACTIVE, 6, 4),
-            ],
-            duration=1e-6,
-        )
-        tel = engine.run(sc, seed=1)
-        # The interactive arrival waits for blocks instead of evicting.
-        interactive = [s for s in tel.sessions if s.priority == Priority.INTERACTIVE][0]
-        assert interactive.preemptions == 0
-        assert all(s.preemptions == 0 for s in tel.sessions)
 
     def test_booking_mode_matches_continuous_timing(self):
         sc = session_scenario([(0.0, 0, 3, 4), (0.0, 0, 2, 3), (1e-8, 0, 4, 2)])

@@ -173,10 +173,6 @@ class TestRRNSRates:
             rates["detected"] - correctable
         )
 
-    def test_core_method_delegates(self):
-        core = FaultTolerantCore()
-        assert core.fault_rates(1e-3) == rrns_fault_rates(core.codec, 1e-3)
-
     def test_from_rrns_rates_scales_to_op_rate(self):
         rates = rrns_fault_rates(FaultTolerantCore().codec, 0.02)
         plan = FaultPlan.from_rrns_rates(
