@@ -32,6 +32,8 @@ from ..arch import (
 from ..arch.breakdown import (
     PAPER_AREA_SHARES,
     PAPER_POWER_SHARES,
+    PAPER_TOTAL_AREA_MM2,
+    PAPER_TOTAL_POWER_W,
     area_pie,
     power_pie,
 )
@@ -324,7 +326,8 @@ def run_fig9(config: Optional[MirageConfig] = None) -> str:
     t1 = format_table(
         ["component", "measured %", "paper %"],
         rows,
-        title=f"Fig. 9 (power): total {total_w:.2f} W (paper 19.95 W)",
+        title=(f"Fig. 9 (power): total {total_w:.2f} W "
+               f"(paper {PAPER_TOTAL_POWER_W:.2f} W)"),
         float_fmt="{:.1f}",
     )
     rows2 = []
@@ -334,7 +337,8 @@ def run_fig9(config: Optional[MirageConfig] = None) -> str:
         ["component", "measured %", "paper %"],
         rows2,
         title=(f"Fig. 9 (area): total {total_mm2:.1f} mm2, 3D footprint "
-               f"{footprint:.1f} mm2 (paper 476.6 / 242.7 mm2)"),
+               f"{footprint:.1f} mm2 (paper {PAPER_TOTAL_AREA_MM2:.1f} / "
+               "242.7 mm2)"),
         float_fmt="{:.1f}",
     )
     return t1 + "\n\n" + t2

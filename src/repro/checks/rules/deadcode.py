@@ -1,25 +1,28 @@
 """Dead-code rule: every public name under ``src/`` needs a caller.
 
 ``dead-public-name`` flags each public (no leading ``_``) module-level
-function and class in a checked file under ``src/``, and each public
-method of a module-level class, when nothing in ``src/``,
-``benchmarks/``, ``examples/`` or ``perfbench/`` references its name.
-Tests are not callers: a name that only tests reach is dead code with a
-test attached.
+function, class and constant (a ``NAME = ...`` or ``NAME: T = ...``
+target) in a checked file under ``src/``, and each public method of a
+module-level class, when nothing in ``src/``, ``benchmarks/``,
+``examples/`` or ``perfbench/`` references its name.  Tests are not
+callers: a name that only tests reach is dead code with a test
+attached.
 
 A reference is any of:
 
-* an ``ast.Name`` id or an ``ast.Attribute`` attr;
+* an ``ast.Name`` id that is read (not assigned) or an
+  ``ast.Attribute`` attr;
 * the original name in an aliased import (``import f as g``);
 * each segment of a string constant that is a dotted identifier, such
   as perfbench's ``"TokenServingEngine.run"`` boundary targets and
   ``getattr`` names.
 
-Not references: the definition itself, the strings of ``__all__``,
-plain ``import`` / ``from ... import`` lines (a re-export is not a
-caller), docstrings, and anything under ``tests/``.  A function whose
-decorator is a call counts as used, because the decorator registers it
-(the ``@rule(...)`` idiom of this package).
+Not references: the definition itself (so an assignment target never
+counts), the strings of ``__all__``, plain ``import`` / ``from ...
+import`` lines (a re-export is not a caller), docstrings, and anything
+under ``tests/``.  A function whose decorator is a call counts as used,
+because the decorator registers it (the ``@rule(...)`` idiom of this
+package).
 
 The rule is name-based on purpose and does no type inference: once any
 object uses a name, every definition of that name counts as used.
@@ -46,6 +49,7 @@ REFERENCE_ROOTS = ("src", "benchmarks", "examples", "perfbench")
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_CONSTANTS = (ast.Assign, ast.AnnAssign)
 _SCOPES = (ast.Module, *_DEFS)
 _ASSIGNS = (ast.Assign, ast.AugAssign, ast.AnnAssign)
 
@@ -65,7 +69,8 @@ def _references(tree: ast.Module) -> Set[str]:
         node = stack.pop()
         kind = type(node)
         if kind is ast.Name:
-            names.add(node.id)
+            if type(node.ctx) is not ast.Store:
+                names.add(node.id)
             continue
         if kind is ast.Attribute:
             names.add(node.attr)
@@ -112,6 +117,12 @@ def _is_candidate(node: ast.AST) -> bool:
 def _public_definitions(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """(node, qualified name) of each definition the rule checks."""
     for node in tree.body:
+        if type(node) in _CONSTANTS:
+            targets = node.targets if type(node) is ast.Assign else (node.target,)
+            for target in targets:
+                if type(target) is ast.Name and not target.id.startswith("_"):
+                    yield target, target.id
+            continue
         if not isinstance(node, _DEFS):
             continue
         if _is_candidate(node):
@@ -140,9 +151,9 @@ def _referenced_names(contexts: List[ModuleContext]) -> Set[str]:
     return names
 
 
-@rule("dead-public-name", "public function, class or method under src/ "
-      "that nothing in src/, benchmarks/, examples/ or perfbench/ "
-      "references", scope="project")
+@rule("dead-public-name", "public function, class, method or module "
+      "constant under src/ that nothing in src/, benchmarks/, examples/ or "
+      "perfbench/ references", scope="project")
 def check_dead_public_names(contexts: List[ModuleContext]) -> Iterator[Finding]:
     checked = [ctx for ctx in contexts if ctx.rel_path.startswith("src/")]
     if not checked:
@@ -150,7 +161,7 @@ def check_dead_public_names(contexts: List[ModuleContext]) -> Iterator[Finding]:
     used = _referenced_names(contexts)
     for ctx in checked:
         for node, qualname in _public_definitions(ctx.tree):
-            if node.name not in used:
+            if qualname.rpartition(".")[2] not in used:
                 yield ctx.finding(
                     "dead-public-name", node,
                     f"'{qualname}' is referenced nowhere in "

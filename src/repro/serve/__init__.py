@@ -68,33 +68,34 @@ and why fleets sharing a system prompt don't re-prefill it per session
 
 Fault plane (:mod:`repro.serve.faults`)
 ---------------------------------------
-Both execution models replay deterministic :class:`FaultPlan`\\ s — a
-sorted, seeded schedule of :class:`FaultEvent`\\ s — against the same
-simulated clock::
+The token engine replays deterministic :class:`FaultPlan`\\ s — a
+sorted, seeded schedule of :class:`FaultEvent`\\ s — against its
+simulated clock (``TokenServingEngine.run(..., faults=plan)``)::
 
     FaultPlan ── replica crashes / stuck workers   (worker kinds)
         │        degraded (slow) workers
-        │        RRNS transient compute faults      (session kinds,
-        │        KV-block loss                       engine only)
+        │        RRNS transient compute faults      (session kinds)
+        │        KV-block loss
         ▼ FaultInjector.due(now)  — fires each event exactly once
     ExecutorPool health plane: ground truth (``responsive``) vs the
         *detected* state (``health``), advanced by FleetMonitor's
         heartbeat sweeps per HealthPolicy — healthy → suspect → dead;
+        a worker that stops responding leaves routing at once, and
         detection latency is real simulated time lost, not hindsight
-        ▼ recovery
-    request-level: in-flight work on the failed worker is stranded,
-        hedged back to the queue head at *suspect*, and the worker is
-        replaced at *dead*, always (RetryPolicy sets only per-request
-        deadlines and retry budgets); the replacement pays the
-        weight-reprogram charge.
-    token-level: sessions are *homed* to a replica (KV locality);
-        sessions homed on a dead replica are preempted, their KV freed,
-        and they resume elsewhere re-prefilling only the suffix the
-        shared-prefix cache cannot supply (EngineConfig.recovery;
-        ``max_waiting`` sheds the lowest class under capacity loss).
-        Uncorrectable RRNS verdicts (rates from
-        ``repro.core.rrns_fault_rates``) void a step's commit for the
-        victim session and recompute it bit-identically next step.
+        ▼ recovery at *dead*
+    sessions are *homed* to a replica (KV locality); sessions homed on
+        a dead replica are preempted, their KV freed, and they resume
+        elsewhere re-prefilling only the suffix the shared-prefix cache
+        cannot supply, while a replacement replica pays the
+        weight-reprogram charge (EngineConfig.recovery; ``max_waiting``
+        sheds the lowest class under capacity loss).  Uncorrectable
+        RRNS verdicts (rates from ``repro.core.rrns_fault_rates``) void
+        a step's commit for the victim session and recompute it
+        bit-identically next step.
+
+The request-level runtime has no fault plane; its only terminal
+outcomes besides completion are shedding at admission and the
+per-request deadline (``ServingRuntime(deadline_s=...)``).
 
 ``benchmarks/bench_resilience.py`` gates this end to end: a scripted
 storm (two replicas killed mid-ramp plus an RRNS transient burst) must
@@ -245,7 +246,6 @@ from .runtime import (
     Autoscaler,
     AutoscalerPolicy,
     ModelProfile,
-    RetryPolicy,
     ServiceModel,
     ServingRuntime,
     infer_input_dim,
@@ -253,7 +253,6 @@ from .runtime import (
 )
 from .telemetry import EngineTelemetry, Telemetry, percentile, summarize_latencies
 from .traffic import (
-    SCENARIO_NAMES,
     Scenario,
     bursty_scenario,
     decode_scenario,
@@ -300,9 +299,7 @@ __all__ = [
     "QuantileSketch",
     "RadixPrefixIndex",
     "RequestStatus",
-    "RetryPolicy",
     "ROUTING_POLICIES",
-    "SCENARIO_NAMES",
     "SLOSpec",
     "SLOTracker",
     "Scenario",

@@ -19,16 +19,18 @@ first-class, **replayable** part of the simulation:
   (:func:`repro.core.fault_tolerant.rrns_fault_rates`).  The same seed
   always yields the identical timeline (:meth:`FaultPlan.signature`),
   which is what makes fault runs regression-testable.
-* :class:`FaultInjector` — the replay cursor a runtime polls: events
-  due at-or-before the simulated ``now`` fire exactly once, in order.
+* :class:`FaultInjector` — the replay cursor the token engine
+  (:class:`~repro.serve.engine.TokenServingEngine`) polls: events due
+  at-or-before the simulated ``now`` fire exactly once, in order.
 * :class:`HealthPolicy` + :class:`FleetMonitor` — heartbeat-style
   failure detection on the simulated clock.  A crashed or stuck worker
-  stops responding; the monitor moves it ``healthy → suspect`` after
-  ``suspect_after_s`` without a heartbeat and ``suspect → dead`` after
-  ``dead_after_s``, emitting transitions the runtime reacts to (hedged
-  re-dispatch on *suspect*, session recovery + replica replacement on
-  *dead*).  Detection latency is therefore an explicit, tunable part of
-  every unavailability window rather than an implementation accident.
+  stops responding and drops out of routing at once; the monitor moves
+  it ``healthy → suspect`` after ``suspect_after_s`` without a heartbeat
+  and ``suspect → dead`` after ``dead_after_s``.  The engine records
+  both transitions and reacts to *dead*: it recovers the sessions homed
+  on the worker and replaces the replica.  Detection latency is
+  therefore an explicit, tunable part of every unavailability window
+  rather than an implementation accident.
 
 Nothing here touches wall-clock time or global RNG state: fault draws
 come from ``np.random.default_rng(seed)`` at plan-build time, so a plan
@@ -66,8 +68,6 @@ class FaultKind:
     KV_LOSS = "kv_loss"  # one session's KV blocks are corrupted/lost
 
     ALL = (REPLICA_CRASH, WORKER_STUCK, WORKER_SLOW, TRANSIENT, KV_LOSS)
-    WORKER_KINDS = (REPLICA_CRASH, WORKER_STUCK, WORKER_SLOW)
-    SESSION_KINDS = (TRANSIENT, KV_LOSS)
 
 
 class WorkerHealth:
@@ -301,7 +301,7 @@ class FaultPlan:
 class FaultInjector:
     """Replay cursor over a :class:`FaultPlan`.
 
-    The runtime polls :meth:`due` with its simulated ``now``; every
+    The engine polls :meth:`due` with its simulated ``now``; every
     event fires exactly once, in timeline order.  ``applied`` keeps the
     fired prefix for telemetry and the replay test.
     """
@@ -342,11 +342,12 @@ class HealthPolicy:
     """Failure-detection knobs of the fleet health state machine.
 
     A worker that has not responded for ``suspect_after_s`` of simulated
-    time becomes *suspect* (no new dispatches; in-flight work is hedged
-    elsewhere); after ``dead_after_s`` it is declared *dead* (sessions
-    recovered, replica replaced).  Both are measured from the moment the
-    worker stopped responding, so the unavailability a crash causes is
-    at least the detection delay — the price of not having an oracle.
+    time becomes *suspect* (it already receives no dispatches, and
+    scale-down retires it first); after ``dead_after_s`` it is declared
+    *dead* (sessions recovered, replica replaced).  Both are measured
+    from the moment the worker stopped responding, so the unavailability
+    a crash causes is at least the detection delay — the price of not
+    having an oracle.
     """
 
     suspect_after_s: float = 1e-7
@@ -370,8 +371,8 @@ class FleetMonitor:
     :meth:`observe` is the heartbeat sweep: responsive workers refresh
     their lease; unresponsive ones age toward *suspect* then *dead*
     against :class:`HealthPolicy` thresholds.  Transitions are returned
-    to the caller (the serving loop reacts: hedge on suspect, recover +
-    replace on dead) and kept in :attr:`transitions` for telemetry.
+    to the caller (the token engine recovers sessions and replaces the
+    replica on *dead*) and kept in :attr:`transitions` for telemetry.
     ``observe`` is idempotent per state — a worker transitions each way
     exactly once.
     """
@@ -380,7 +381,7 @@ class FleetMonitor:
         self.pool = pool
         self.policy = policy or HealthPolicy()
         self.transitions: List[Dict[str, float]] = []
-        # Observability hook (set by the engine/runtime when tracing):
+        # Observability hook (set by the engine when tracing):
         # each transition also lands as an instant on the worker track.
         self.tracer = None
 

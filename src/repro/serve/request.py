@@ -29,6 +29,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .clock import time_at_or_before
+
 __all__ = [
     "Priority",
     "RequestStatus",
@@ -51,7 +53,9 @@ class RequestStatus:
     ``RUNNING``/``PREEMPTED`` belong to autoregressive decode sessions
     (:mod:`repro.serve.engine`): a session alternates between holding a
     slot in the running batch and being preempted back to the waiting
-    queue when a higher class needs its KV-cache blocks.
+    queue when a higher class needs its KV-cache blocks.  ``TIMED_OUT``
+    ends a request whose deadline passed while it waited; ``FAILED``
+    ends a decode session the engine could not recover from a fault.
     """
 
     QUEUED = "queued"
@@ -61,9 +65,6 @@ class RequestStatus:
     RUNNING = "running"
     PREEMPTED = "preempted"
     COMPLETED = "completed"
-    # Failure-plane terminal states (PR 6): a request whose deadline
-    # expired before completion, and one abandoned after its retry
-    # budget was exhausted by worker failures.
     TIMED_OUT = "timed_out"
     FAILED = "failed"
 
@@ -91,10 +92,8 @@ class InferenceRequest:
     batch_size: Optional[int] = None
     worker_id: Optional[int] = None
     output: Optional[np.ndarray] = None
-    # Failure plane: how many times this request was re-dispatched after
-    # a worker failure, and the absolute simulated time after which it
-    # is no longer worth serving (None = no deadline).
-    retries: int = 0
+    # Absolute simulated time after which the request is no longer worth
+    # serving (None = no deadline).
     deadline: Optional[float] = None
 
     @property
@@ -160,7 +159,7 @@ class AdmissionQueue:
         return [q[0] for q in classes.values() if q]
 
     # ------------------------------------------------------------------
-    def offer(self, request: InferenceRequest, front: bool = False) -> bool:
+    def offer(self, request: InferenceRequest) -> bool:
         """Admit ``request``, evicting a lower-class victim if needed.
 
         Returns True when the request was admitted.  At capacity, the
@@ -169,11 +168,6 @@ class AdmissionQueue:
         arrival is rejected (same-class traffic never preempts itself, so
         a single-class deployment behaves exactly like the plain bounded
         FIFO it used to be).
-
-        ``front=True`` re-enqueues at the *head* of the request's class
-        (head-of-class requeue): a retry whose first dispatch was lost to
-        a worker failure has already waited its turn once and should not
-        queue behind younger same-class arrivals.
         """
         if self._depth >= self.capacity:
             victim = self._evict_candidate(request.priority)
@@ -184,11 +178,7 @@ class AdmissionQueue:
             victim.status = RequestStatus.EVICTED
             self._evicted_pending.append(victim)
         classes = self._queues.setdefault(request.model, {})
-        q = classes.setdefault(request.priority, deque())
-        if front:
-            q.appendleft(request)
-        else:
-            q.append(request)
+        classes.setdefault(request.priority, deque()).append(request)
         self._depth += 1
         request.status = RequestStatus.QUEUED
         return True
@@ -201,35 +191,23 @@ class AdmissionQueue:
     def expire(self, now: float) -> List[InferenceRequest]:
         """Remove and return waiting requests whose deadline has passed.
 
-        Per-class FIFO order of the survivors is preserved.  The runtime
-        sweeps this on its clock so a request nobody will ever dispatch
-        (e.g. queued behind a fleet outage) still reaches a terminal
-        state instead of stranding the event loop.
+        Each class deque holds requests in arrival order, and the runtime
+        stamps every deadline as ``arrival + deadline_s``, so deadlines
+        never decrease along a deque and the expired requests are always
+        a prefix of it: popping expired heads is the whole sweep.
         """
-        from .clock import time_at_or_before
-
         expired: List[InferenceRequest] = []
         for classes in self._queues.values():
             for q in classes.values():
-                if not q:
-                    continue
-                survivors = [
-                    r
-                    for r in q
-                    if r.deadline is None or time_at_or_before(now, r.deadline)
-                ]
-                if len(survivors) != len(q):
-                    expired.extend(
-                        r
-                        for r in q
-                        if r.deadline is not None
-                        and not time_at_or_before(now, r.deadline)
-                    )
-                    q.clear()
-                    q.extend(survivors)
-        for r in expired:
-            r.status = RequestStatus.TIMED_OUT
-            self._depth -= 1
+                while (
+                    q
+                    and q[0].deadline is not None
+                    and not time_at_or_before(now, q[0].deadline)
+                ):
+                    request = q.popleft()
+                    request.status = RequestStatus.TIMED_OUT
+                    expired.append(request)
+        self._depth -= len(expired)
         return expired
 
     def _evict_candidate(self, priority: int) -> Optional[InferenceRequest]:

@@ -45,7 +45,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from ..nn.conv import Conv2d
 from ..nn.layers import Linear, Sequential
 from .batcher import BatchPolicy, MicroBatcher
 from .clock import SimulatedClock, time_at_or_before
-from .faults import FaultInjector, FaultKind, FaultPlan, FleetMonitor, HealthPolicy
 from .observability.profiler import HardwareAttributionProfiler
 from .pool import ExecutorPool
 from .request import AdmissionQueue, InferenceRequest, RequestStatus
@@ -67,7 +66,6 @@ __all__ = [
     "AutoscalerPolicy",
     "Autoscaler",
     "ModelProfile",
-    "RetryPolicy",
     "ServiceModel",
     "ServingRuntime",
     "model_layer_shapes",
@@ -101,36 +99,6 @@ class ModelProfile:
 
     def input_dim(self) -> int:
         return infer_input_dim(self.model)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Failure-handling knobs of the request-level runtime.
-
-    ``max_retries`` bounds how many times one request may re-enter
-    admission after its dispatch was lost to a worker failure (the retry
-    *budget* — past it the request fails terminally).  ``deadline_s``
-    gives every request an absolute deadline of ``arrival + deadline_s``
-    after which it is dropped as timed out rather than served late.
-    Two behaviours are always on: stranded work is re-dispatched
-    (hedged) as soon as its worker turns *suspect*, without waiting for
-    the dead declaration, and every worker declared dead is replaced by
-    a fresh (cold, reprogramming-charged) replica.  All of it is inert
-    on fault-free runs — retries and hedges only trigger on failures.
-    """
-
-    max_retries: int = 2
-    deadline_s: Optional[float] = None
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be > 0, got {self.deadline_s}"
-            )
 
 
 class ServiceModel:
@@ -421,7 +389,7 @@ class Autoscaler:
 # ----------------------------------------------------------------------
 # The discrete-event serving loop
 # ----------------------------------------------------------------------
-_ARRIVAL, _WORKER_FREE, _DEADLINE, _SCALE, _FAULT, _HEALTH = 0, 1, 2, 3, 4, 5
+_ARRIVAL, _WORKER_FREE, _DEADLINE, _SCALE = 0, 1, 2, 3
 
 
 class ServingRuntime:
@@ -429,6 +397,9 @@ class ServingRuntime:
 
     Use one runtime instance per scenario run — worker availability and
     cache state deliberately persist across requests within a run.
+    ``deadline_s`` gives every request an absolute deadline of
+    ``arrival + deadline_s``, after which it is dropped as timed out
+    rather than served late (None: no deadline).
     """
 
     def __init__(
@@ -436,17 +407,17 @@ class ServingRuntime:
         pool: ExecutorPool,
         policy: Optional[BatchPolicy] = None,
         queue_capacity: int = 256,
-        accelerator: Optional[MirageAccelerator] = None,
         execute: bool = True,
         autoscaler: Optional[AutoscalerPolicy] = None,
-        retry: Optional[RetryPolicy] = None,
-        health: Optional[HealthPolicy] = None,
+        deadline_s: Optional[float] = None,
         observability=None,
     ):
+        if deadline_s is not None and deadline_s <= 0:
+            raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
         self.pool = pool
         self.batcher = MicroBatcher(policy)
         self.queue = AdmissionQueue(queue_capacity)
-        self.service = ServiceModel(accelerator)
+        self.service = ServiceModel()
         self.clock = SimulatedClock()
         self.obs = observability
         registry = observability.registry if observability is not None else None
@@ -460,21 +431,9 @@ class ServingRuntime:
         self.autoscaler = (
             Autoscaler(self, autoscaler) if autoscaler is not None else None
         )
-        self.retry = retry or RetryPolicy()
-        self.health = health or HealthPolicy()
+        self.deadline_s = deadline_s
         self._profiles: Dict[str, ModelProfile] = {}
         self._req_ids = itertools.count()
-        # Failure plane: in-flight batches by id so a crash can strand
-        # exactly the work that was riding on the failed worker.
-        self._batch_ids = itertools.count()
-        self._inflight: Dict[int, Tuple[int, List[InferenceRequest]]] = {}
-        self._cancelled: set = set()
-        self._stranded: Dict[int, List[InferenceRequest]] = {}
-        self._monitor: Optional[FleetMonitor] = None
-        self._injector: Optional[FaultInjector] = None
-        # Tracing bookkeeping: when each request (re)started waiting,
-        # closed into a queue_wait span at dispatch.
-        self._wait_since: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     def register_model(
@@ -497,21 +456,13 @@ class ServingRuntime:
         return dict(self._profiles)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        scenario,
-        seed: int = 0,
-        input_fn: Optional[Callable[[str, np.random.Generator], np.ndarray]] = None,
-        faults: Optional[FaultPlan] = None,
-    ) -> Telemetry:
+    def run(self, scenario, seed: int = 0) -> Telemetry:
         """Drive a full scenario through the deployment; returns telemetry.
 
-        ``input_fn(model_name, rng)`` supplies request inputs (default:
-        standard-normal rows of the model's input width).  ``faults`` is
-        an optional replayable :class:`~repro.serve.faults.FaultPlan` of
-        **worker** events (crash/stuck/slow) injected on the simulated
-        clock; session-granular kinds (transient, KV loss) belong to the
-        token engine and are rejected here.
+        Each request's input is drawn from ``np.random.default_rng(seed)``:
+        a standard-normal row (or image, for conv-first models) matching
+        the model's first GEMM layer.  Every admitted request reaches a
+        terminal state, so a non-empty queue at the end is a bug.
         """
         rng = np.random.default_rng(seed)
         heap: List[Tuple[float, int, int, object]] = []
@@ -529,19 +480,6 @@ class ServingRuntime:
                     return
                 armed.add(t)
             heapq.heappush(heap, (t, kind, next(seq), payload))
-
-        if faults is not None:
-            bad = [e.kind for e in faults.events if e.kind in FaultKind.SESSION_KINDS]
-            if bad:
-                raise ValueError(
-                    f"request-level runtime cannot inject {sorted(set(bad))}; "
-                    "session-granular faults target the token engine"
-                )
-            self._injector = FaultInjector(faults)
-            self._monitor = FleetMonitor(self.pool, self.health)
-            self._monitor.tracer = self.tracer
-            for event in faults.events:
-                push(event.t, _FAULT, None)
 
         last_arrival = 0.0
         for arrival in scenario.arrivals:
@@ -569,16 +507,11 @@ class ServingRuntime:
             now = self.clock.advance_to(t)
             if kind == _ARRIVAL:
                 model, priority = payload
-                self._admit(model, priority, now, rng, input_fn)
+                self._admit(model, priority, now, rng)
             elif kind == _WORKER_FREE:
                 self._complete(payload)
             elif kind == _DEADLINE:
                 armed.discard(t)
-            elif kind == _FAULT:
-                for event in self._injector.due(now):
-                    self._apply_fault(event, now, push)
-            elif kind == _HEALTH:
-                self._check_health(now, push)
             elif kind == _SCALE:
                 for action in self.autoscaler.evaluate(now):
                     if action["ready_at"] > now:
@@ -598,19 +531,9 @@ class ServingRuntime:
             self.telemetry.sample_queue_depth(now, self.queue.depth)
 
         if self.queue.depth:
-            if self._injector is not None:
-                # A fleet outage can legitimately strand waiting work:
-                # those requests fail terminally instead of crashing the
-                # loop.
-                for model in list(self.queue.models_waiting()):
-                    for r in self.queue.pop_batch(model, self.queue.depth):
-                        r.status = RequestStatus.FAILED
-                        self.telemetry.record_failure(r)
-                        self._trace_terminal(r, "fail", self.clock.now)
-            else:
-                raise RuntimeError(
-                    f"event loop ended with {self.queue.depth} requests stranded"
-                )
+            raise RuntimeError(
+                f"event loop ended with {self.queue.depth} requests stranded"
+            )
         return self.telemetry
 
     # ------------------------------------------------------------------
@@ -638,31 +561,19 @@ class ServingRuntime:
         raise ValueError(f"model {profile.name!r} has no GEMM layers")
 
     def _admit(
-        self,
-        model: str,
-        priority: int,
-        now: float,
-        rng: np.random.Generator,
-        input_fn: Optional[Callable[[str, np.random.Generator], np.ndarray]],
+        self, model: str, priority: int, now: float, rng: np.random.Generator
     ) -> None:
-        if input_fn is not None:
-            x = np.asarray(input_fn(model, rng), dtype=np.float64)
-        else:
-            x = self._default_input(self._profiles[model], rng)
+        x = self._default_input(self._profiles[model], rng)
         request = InferenceRequest(
             next(self._req_ids), model, x, now, priority=priority
         )
-        if self.retry.deadline_s is not None:
-            request.deadline = now + self.retry.deadline_s
+        if self.deadline_s is not None:
+            request.deadline = now + self.deadline_s
         if not self.queue.offer(request):
             self.telemetry.record_rejection(request)
             self._trace_terminal(request, "reject", now)
-        else:
-            if self.tracer is not None:
-                self._wait_since[request.request_id] = now
-                self.tracer.instant(
-                    "request", request.request_id, "enqueue", now
-                )
+        elif self.tracer is not None:
+            self.tracer.instant("request", request.request_id, "enqueue", now)
         for victim in self.queue.drain_evicted():
             self.telemetry.record_rejection(victim)
             self._trace_terminal(victim, "evict", now)
@@ -672,93 +583,9 @@ class ServingRuntime:
     ) -> None:
         """A request leaving without completing: instant + SLO miss."""
         if self.tracer is not None:
-            self._wait_since.pop(request.request_id, None)
             self.tracer.instant("request", request.request_id, kind, now)
         if self._slo is not None:
             self._slo.observe(request.model, now, good=False)
-
-    # ------------------------------------------------------------------
-    # Failure plane
-    # ------------------------------------------------------------------
-    def _apply_fault(self, event, now: float, push) -> None:
-        """Apply one due fault event (physics only — detection is separate)."""
-        wid = self.pool.resolve_worker(event.target)
-        if wid is None:
-            return  # nothing left to kill
-        if event.kind in (FaultKind.REPLICA_CRASH, FaultKind.WORKER_STUCK):
-            self.pool.crash(wid, now)
-            self.telemetry.record_crash(wid)
-            # Strand the in-flight batches riding on this worker: their
-            # completion events are cancelled; the requests re-enter only
-            # once the monitor *detects* the failure (suspect/dead) —
-            # nobody knows instantly that a worker died.
-            for batch_id, (bwid, batch) in list(self._inflight.items()):
-                if bwid != wid:
-                    continue
-                self._cancelled.add(batch_id)
-                del self._inflight[batch_id]
-                self._stranded.setdefault(wid, []).extend(batch)
-            push(now + self.health.suspect_after_s, _HEALTH, None)
-            push(now + self.health.dead_after_s, _HEALTH, None)
-        elif event.kind == FaultKind.WORKER_SLOW:
-            self.pool.slow(wid, event.severity, now + event.duration_s)
-
-    def _check_health(self, now: float, push) -> None:
-        """One heartbeat sweep: hedge on suspect, replace on dead."""
-        if self._monitor is None:
-            return
-        for tr in self._monitor.observe(now):
-            wid = tr["worker_id"]
-            if tr["to"] == "suspect":
-                for request in self._stranded.pop(wid, []):
-                    self._reenter(request, now, hedged=True)
-            elif tr["to"] == "dead":
-                for request in self._stranded.pop(wid, []):
-                    self._reenter(request, now, hedged=False)
-                prewarm = lambda name: self.service.prewarm_latency(name)
-                new_wid = self.pool.replace_worker(wid, now, prewarm)
-                self.telemetry.record_replacement(wid, new_wid)
-                ready = self.pool.workers[new_wid].busy_until
-                if ready > now:
-                    push(ready, _DEADLINE, None)
-
-    def _reenter(self, request: InferenceRequest, now: float, hedged: bool) -> None:
-        """Re-admit a request whose dispatch was lost to a worker failure.
-
-        Head-of-class requeue: the request already waited its turn once.
-        Deadline and retry budget are checked first — work nobody wants
-        (or that has failed too often) terminates instead of churning.
-        """
-        if request.deadline is not None and not time_at_or_before(
-            now, request.deadline
-        ):
-            request.status = RequestStatus.TIMED_OUT
-            self.telemetry.record_timeout(request)
-            self._trace_terminal(request, "timeout", now)
-            return
-        if request.retries >= self.retry.max_retries:
-            request.status = RequestStatus.FAILED
-            self.telemetry.record_failure(request)
-            self._trace_terminal(request, "fail", now)
-            return
-        request.retries += 1
-        if self.queue.offer(request, front=True):
-            self.telemetry.record_retry(request, hedged=hedged)
-            if self.tracer is not None:
-                self._wait_since[request.request_id] = now
-                self.tracer.instant(
-                    "request",
-                    request.request_id,
-                    "retry",
-                    now,
-                    args={"hedged": hedged},
-                )
-        else:
-            self.telemetry.record_rejection(request)
-            self._trace_terminal(request, "reject", now)
-        for victim in self.queue.drain_evicted():
-            self.telemetry.record_rejection(victim)
-            self._trace_terminal(victim, "evict", now)
 
     # ------------------------------------------------------------------
     def _drain(self, now: float, push) -> None:
@@ -801,20 +628,15 @@ class ServingRuntime:
         if not batch:
             return  # every popped request had expired
         service_s = self.service.batch_latency(model, len(batch))
-        # A degraded worker serves slower than the analytic model says;
-        # the stall inflates the busy window and completion time while
-        # telemetry keeps the *nominal* service time, so the analytic
-        # cross-check stays exact through fault storms.
-        booked_s = service_s * worker.service_scale(now)
         profile = self._profiles[model]
         if self.execute:
             outputs = worker.run_batch(
-                model, profile.model, [r.x for r in batch], now, booked_s
+                model, profile.model, [r.x for r in batch], now, service_s
             )
         else:
             outputs = None
-            worker.run_booking(model, len(batch), now, booked_s)
-        done = now + booked_s
+            worker.run_booking(model, len(batch), now, service_s)
+        done = now + service_s
         # The index the record_batch call below will occupy — stamped on
         # each request's service span so analysis can join a span back
         # to its exact telemetry batch record.
@@ -834,9 +656,13 @@ class ServingRuntime:
                 request.output = outputs[i]
             if self.tracer is not None:
                 rid = request.request_id
-                t0 = self._wait_since.pop(rid, request.arrival_time)
                 self.tracer.span(
-                    "request", rid, "queue_wait", t0, now, category="queue"
+                    "request",
+                    rid,
+                    "queue_wait",
+                    request.arrival_time,
+                    now,
+                    category="queue",
                 )
                 self.tracer.span(
                     "request",
@@ -850,16 +676,9 @@ class ServingRuntime:
         self.telemetry.record_batch(
             model, batch, worker.worker_id, now, service_s
         )
-        batch_id = next(self._batch_ids)
-        self._inflight[batch_id] = (worker.worker_id, list(batch))
-        push(done, _WORKER_FREE, (batch_id, batch))
+        push(done, _WORKER_FREE, batch)
 
-    def _complete(self, payload) -> None:
-        batch_id, batch = payload
-        if batch_id in self._cancelled:
-            self._cancelled.discard(batch_id)
-            return  # worker died mid-batch; requests were stranded
-        self._inflight.pop(batch_id, None)
+    def _complete(self, batch: List[InferenceRequest]) -> None:
         for request in batch:
             request.status = RequestStatus.COMPLETED
             self.telemetry.record_completion(request)
@@ -904,12 +723,6 @@ class ServingRuntime:
             for name in self._profiles
         }
         out["workers"] = self.pool.worker_stats()
-        if self._monitor is not None:
-            out["health_transitions"] = [
-                dict(tr) for tr in self._monitor.transitions
-            ]
-        if self._injector is not None:
-            out["faults_applied"] = len(self._injector.applied)
         if self.autoscaler is not None:
             self.autoscaler.finalize(horizon)
             out["autoscaler"] = self.autoscaler.summary()

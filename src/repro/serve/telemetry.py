@@ -86,17 +86,6 @@ class Telemetry:
             "Requests lost before completion, by priority class and reason",
             ("priority", "reason"),
         )
-        self._m_retries = reg.counter(
-            "serve_retries_total",
-            "Requests re-entering admission after a lost dispatch",
-            ("hedged",),
-        )
-        self._m_crashes = reg.counter(
-            "serve_worker_crashes_total", "Worker crash events observed"
-        )
-        self._m_replacements = reg.counter(
-            "serve_worker_replacements_total", "Dead workers replaced"
-        )
         self._m_batches = reg.counter(
             "serve_batches_dispatched_total",
             "Batches dispatched, by model",
@@ -121,17 +110,11 @@ class Telemetry:
         self.rejected_by_class: Counter = Counter()
         self.evicted: int = 0
         self.batches: List[_BatchRecord] = []
-        # Failure plane (PR 6): counters stay zero on fault-free runs,
-        # and the summary only grows a "resilience" section when the
-        # run actually saw failure activity.
-        self.retries = 0
-        self.hedges = 0
         self.timeouts = 0
         self.timeouts_by_class: Counter = Counter()
+        # Nothing fails a request terminally, so this stays 0; perfbench's
+        # request_multitenant check still adds it to its accounting.
         self.failed = 0
-        self.failed_by_class: Counter = Counter()
-        self.crashes = 0
-        self.replacements = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -147,15 +130,6 @@ class Telemetry:
         else:
             self._m_shed.labels(request.priority, "rejected").inc()
 
-    def record_retry(self, request: InferenceRequest, hedged: bool = False) -> None:
-        """A request re-entering admission after its dispatch was lost
-        to a worker failure; ``hedged=True`` marks a suspect-worker
-        hedge (re-dispatched before the worker was declared dead)."""
-        self.retries += 1
-        if hedged:
-            self.hedges += 1
-        self._m_retries.labels("true" if hedged else "false").inc()
-
     def record_timeout(self, request: InferenceRequest) -> None:
         """A request whose per-request deadline expired before service.
 
@@ -163,22 +137,6 @@ class Telemetry:
         self.timeouts += 1
         self.timeouts_by_class[request.priority] += 1
         self._m_shed.labels(request.priority, "timeout").inc()
-
-    def record_failure(self, request: InferenceRequest) -> None:
-        """A request abandoned after exhausting its retry budget.
-
-        Counts as an SLO miss for its class, like a rejection."""
-        self.failed += 1
-        self.failed_by_class[request.priority] += 1
-        self._m_shed.labels(request.priority, "failed").inc()
-
-    def record_crash(self, worker_id: int) -> None:
-        self.crashes += 1
-        self._m_crashes.labels().inc()
-
-    def record_replacement(self, dead_worker_id: int, new_worker_id: int) -> None:
-        self.replacements += 1
-        self._m_replacements.labels().inc()
 
     def record_batch(
         self,
@@ -243,17 +201,15 @@ class Telemetry:
         seen = {r.priority for r in self.completed}
         seen.update(self.rejected_by_class)
         seen.update(self.timeouts_by_class)
-        seen.update(self.failed_by_class)
         return sorted(seen)
 
     def _misses(self, priority: Optional[int] = None) -> int:
-        """Requests that never completed: shed, timed out, or failed."""
+        """Requests that never completed: shed or timed out."""
         if priority is None:
-            return self.rejected + self.timeouts + self.failed
+            return self.rejected + self.timeouts
         return (
             self.rejected_by_class.get(priority, 0)
             + self.timeouts_by_class.get(priority, 0)
-            + self.failed_by_class.get(priority, 0)
         )
 
     def batch_size_histogram(self) -> Dict[int, int]:
@@ -303,9 +259,9 @@ class Telemetry:
     def slo_attainment(self, slo_s: float) -> float:
         """Fraction of *admitted* requests completing within ``slo_s``.
 
-        Rejected, timed-out, and retry-exhausted requests all count
-        against attainment — any request that never completes is a miss
-        from the caller's point of view.
+        Rejected and timed-out requests both count against attainment —
+        any request that never completes is a miss from the caller's
+        point of view.
         """
         lat = self.latencies()
         total = len(lat) + self._misses()
@@ -369,21 +325,8 @@ class Telemetry:
                 }
         if cache_stats is not None:
             out["programmed_cache"] = cache_stats
-        if (
-            self.retries
-            or self.timeouts
-            or self.failed
-            or self.crashes
-            or self.replacements
-        ):
-            out["resilience"] = {
-                "retries": self.retries,
-                "hedges": self.hedges,
-                "timeouts": self.timeouts,
-                "failed": self.failed,
-                "crashes": self.crashes,
-                "replacements": self.replacements,
-            }
+        if self.timeouts:
+            out["timeouts"] = self.timeouts
         return out
 
 

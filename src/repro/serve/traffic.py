@@ -67,20 +67,7 @@ __all__ = [
     "decode_scenario",
     "shared_prefix_scenario",
     "multiturn_scenario",
-    "SCENARIO_NAMES",
 ]
-
-SCENARIO_NAMES = (
-    "poisson",
-    "bursty",
-    "diurnal",
-    "multi_tenant",
-    "priority",
-    "multi_tenant_priority",
-    "decode",
-    "shared_prefix",
-    "multiturn",
-)
 
 # Arrivals are (time, model), (time, model, priority), or — for
 # autoregressive sessions — (time, model, priority, prompt_len,

@@ -123,6 +123,11 @@ class TestAblations:
         text = run_moduli_ablation(n_values=20_000)
         assert "special k=5" in text and "arbitrary" in text
 
+    def test_moduli_ablation_text_is_the_same_every_run(self):
+        assert run_moduli_ablation(n_values=2_000) == run_moduli_ablation(
+            n_values=2_000
+        )
+
     def test_dac_precision_close_to_paper(self):
         text = run_dac_precision_ablation()
         assert "1.09x" in text or "vs baseline" in text

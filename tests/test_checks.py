@@ -499,6 +499,78 @@ def test_dead_public_name_waiver_goes_stale_once_referenced(tmp_path):
     assert "waiver-unused" in active_rules(report)
 
 
+CONSTANT_PROJECT = {
+    "src/pkg/__init__.py": '''
+        """Package facade."""
+        __all__ = ["ONLY_IN_ALL"]
+    ''',
+    "src/pkg/consts.py": '''
+        """Module constants, one per way of being read or not."""
+        from typing import Tuple
+
+        UNREAD = 1
+        ANNOTATED: Tuple[int, ...] = (2,)
+        ONLY_IN_ALL = 3
+        BY_ATTRIBUTE = 4
+        BY_STRING = 5
+        BY_NAME = 6
+        DERIVED = BY_NAME + 1
+        _PRIVATE = 8
+    ''',
+    "benchmarks/bench_consts.py": '''
+        """bench: the readers of pkg.consts."""
+        from pkg import consts
+        from pkg.consts import DERIVED
+
+
+        def total():
+            return consts.BY_ATTRIBUTE + getattr(consts, "BY_STRING") + DERIVED
+    ''',
+}
+
+
+def constant_project(tmp_path: Path) -> CheckConfig:
+    for rel, text in CONSTANT_PROJECT.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text).lstrip())
+    return fixture_config(root=tmp_path)
+
+
+def test_dead_public_name_flags_an_unread_constant_on_its_line(tmp_path):
+    cfg = constant_project(tmp_path)
+    report = run_checks([tmp_path / "src"], config=cfg)
+    source = (tmp_path / "src" / "pkg" / "consts.py").read_text().splitlines()
+    found = {
+        f.message.split("'")[1]: source[f.line - 1]
+        for f in report.active
+        if f.rule == "dead-public-name"
+    }
+    assert found["UNREAD"] == "UNREAD = 1"
+    assert found["ANNOTATED"] == "ANNOTATED: Tuple[int, ...] = (2,)"
+    assert "_PRIVATE" not in found
+
+
+def test_dead_public_name_counts_attribute_and_string_reads_of_a_constant(
+    tmp_path,
+):
+    cfg = constant_project(tmp_path)
+    report = run_checks([tmp_path / "src"], config=cfg)
+    assert dead_names(report) == ["ANNOTATED", "ONLY_IN_ALL", "UNREAD"]
+
+    bench = tmp_path / "benchmarks" / "bench_consts.py"
+    bench.write_text('"""bench: no readers left."""\n')
+    report = run_checks([tmp_path / "src"], config=cfg)
+    assert {"BY_ATTRIBUTE", "BY_STRING", "DERIVED"} <= set(dead_names(report))
+    assert "BY_NAME" not in dead_names(report)  # DERIVED still reads it
+
+
+def test_dead_public_name_flags_a_constant_listed_only_in_all(tmp_path):
+    cfg = constant_project(tmp_path)
+    report = run_checks([tmp_path / "src"], config=cfg)
+    assert "ONLY_IN_ALL" in dead_names(report, "consts.py")
+
+
 # ---------------------------------------------------------------------------
 # output formats / CLI
 

@@ -29,7 +29,6 @@ from repro.serve import (
     HealthPolicy,
     MetricsRegistry,
     Observability,
-    RetryPolicy,
     SLOSpec,
     SLOTracker,
     ServingRuntime,
@@ -86,7 +85,7 @@ def make_runtime(observability=None, autoscaler=None):
     rt = ServingRuntime(
         ExecutorPool(3),
         BatchPolicy(max_batch_size=4, max_wait_s=0.0),
-        retry=RetryPolicy(max_retries=2, deadline_s=1e-3),
+        deadline_s=1e-3,
         autoscaler=autoscaler,
         observability=observability,
     )

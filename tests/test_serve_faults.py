@@ -1,4 +1,4 @@
-"""Fault injection and fleet recovery: plans, health, retries, rescue."""
+"""Fault injection and fleet recovery: plans, health, engine rescue."""
 
 import math
 
@@ -18,7 +18,6 @@ from repro.serve import (
     FleetMonitor,
     HealthPolicy,
     RequestStatus,
-    RetryPolicy,
     ServingRuntime,
     TokenServingEngine,
     WorkerHealth,
@@ -26,8 +25,6 @@ from repro.serve import (
 )
 from repro.arch.config import MirageConfig
 from repro.arch.memory import MemorySystemModel
-from repro.serve.batcher import BatchPolicy
-from repro.serve.runtime import ModelProfile
 from repro.serve.traffic import Scenario
 
 
@@ -67,20 +64,6 @@ def decode_trace(n=12, spacing=1e-7, prompt=6, decode=8):
         (i * spacing, "m0", i % 3, prompt, decode) for i in range(n)
     )
     return Scenario("decode", arrivals, n * spacing + 1e-9)
-
-
-def make_runtime(workers=3, replicas=3, retry=None, health=None, model=None):
-    pool = ExecutorPool(workers)
-    rt = ServingRuntime(
-        pool,
-        BatchPolicy(max_batch_size=4, max_wait_s=0.0),
-        retry=retry or RetryPolicy(max_retries=2, deadline_s=1e-3),
-        health=health or HealthPolicy(suspect_after_s=1e-9, dead_after_s=2e-9),
-    )
-    rt.register_model(
-        ModelProfile("m", model or mlp(dim=64), replicas=replicas, slo_s=1e-3)
-    )
-    return rt
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +218,9 @@ class TestHealthMonitor:
 # Config validation (satellite: explicit errors, not silent nonsense)
 # ----------------------------------------------------------------------
 class TestKnobValidation:
-    def test_retry_policy(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
+    def test_runtime_deadline_must_be_positive(self):
+        with pytest.raises(ValueError, match="deadline_s"):
+            ServingRuntime(ExecutorPool(1), deadline_s=0.0)
 
     def test_engine_max_waiting(self):
         with pytest.raises(ValueError):
@@ -257,13 +238,6 @@ class TestKnobValidation:
         plan = FaultPlan.replica_kills([(1e-7, 0)])
         with pytest.raises(ValueError, match="continuous"):
             engine.run(decode_trace(2), seed=0, faults=plan)
-
-    def test_runtime_rejects_session_kind_plans(self):
-        rt = make_runtime()
-        plan = FaultPlan((FaultEvent(1e-7, FaultKind.TRANSIENT, severity=1.0),))
-        scen = Scenario("s", ((0.0, "m"),), 1e-6)
-        with pytest.raises(ValueError, match="session"):
-            rt.run(scen, faults=plan)
 
 
 # ----------------------------------------------------------------------
@@ -472,80 +446,3 @@ class TestEngineRecovery:
             assert a.session_id == b.session_id
             for ra, rb in zip(a.outputs, b.outputs):
                 assert np.array_equal(ra, rb)
-
-
-# ----------------------------------------------------------------------
-# Runtime: deadlines, retries, hedging, replacement
-# ----------------------------------------------------------------------
-class TestRuntimeRecovery:
-    def test_crash_mid_batch_retries_on_replacement(self):
-        rt = make_runtime(workers=1, replicas=1)
-        svc = rt.service.batch_latency("m", 1)
-        scen = Scenario("s", ((0.0, "m", 2),), 1e-5)
-        plan = FaultPlan.replica_kills([(svc * 0.5, 0)])
-        tel = rt.run(scen, faults=plan)
-        assert len(tel.completed) == 1
-        assert tel.retries == 1 and tel.hedges == 1
-        assert tel.crashes == 1 and tel.replacements == 1
-        req = tel.completed[0]
-        assert req.retries == 1
-        assert req.worker_id == 1  # finished on the replacement worker
-        assert req.status == RequestStatus.COMPLETED
-
-    def test_no_retry_budget_fails_request(self):
-        rt = make_runtime(
-            workers=1, replicas=1, retry=RetryPolicy(max_retries=0)
-        )
-        svc = rt.service.batch_latency("m", 1)
-        scen = Scenario("s", ((0.0, "m"),), 1e-5)
-        tel = rt.run(scen, faults=FaultPlan.replica_kills([(svc * 0.5, 0)]))
-        assert len(tel.completed) == 0 and tel.failed == 1
-        assert tel.retries == 0
-
-    def test_tight_deadline_times_out_instead_of_late_retry(self):
-        rt = make_runtime(workers=1, replicas=1)
-        svc = rt.service.batch_latency("m", 1)
-        rt2 = make_runtime(
-            workers=1,
-            replicas=1,
-            retry=RetryPolicy(max_retries=5, deadline_s=svc * 0.25),
-        )
-        scen = Scenario("s", ((0.0, "m"),), 1e-5)
-        tel = rt2.run(scen, faults=FaultPlan.replica_kills([(svc * 0.5, 0)]))
-        assert tel.timeouts == 1 and len(tel.completed) == 0
-
-    def test_multi_replica_crash_keeps_slo_and_accounts(self):
-        rt = make_runtime()
-        arrivals = tuple((i * 2e-7, "m", i % 3) for i in range(30))
-        scen = Scenario("s", arrivals, 1e-5)
-        plan = FaultPlan.replica_kills([(5e-7, 0)]).merge(
-            FaultPlan.slow_worker(1.2e-6, 1, factor=2.5, duration_s=2e-6)
-        )
-        tel = rt.run(scen, faults=plan)
-        rep = rt.report(scen)
-        assert tel.crashes == 1 and tel.replacements == 1
-        assert len(tel.completed) + tel.timeouts + tel.failed == 30
-        assert rep["analytic_consistency"]["max_abs_error_s"] == 0.0
-        assert rep["faults_applied"] == 2
-        assert len(rep["health_transitions"]) == 2
-        assert "resilience" in rep
-
-    def test_replay_is_deterministic(self):
-        arrivals = tuple((i * 2e-7, "m", i % 3) for i in range(30))
-        scen = Scenario("s", arrivals, 1e-5)
-        plan = FaultPlan.replica_kills([(5e-7, 0), (9e-7, 1)])
-        a = make_runtime().run(scen, faults=plan)
-        b = make_runtime().run(scen, faults=plan)
-        assert (a.retries, a.hedges, a.timeouts, a.failed) == (
-            b.retries, b.hedges, b.timeouts, b.failed
-        )
-        assert [r.completion_time for r in a.completed] == [
-            r.completion_time for r in b.completed
-        ]
-
-    def test_fault_free_run_has_inert_resilience_counters(self):
-        rt = make_runtime()
-        arrivals = tuple((i * 2e-7, "m") for i in range(10))
-        tel = rt.run(Scenario("s", arrivals, 1e-5))
-        assert tel.retries == tel.hedges == tel.timeouts == tel.failed == 0
-        assert "resilience" not in rt.report(Scenario("s", arrivals, 1e-5))

@@ -1,19 +1,24 @@
 """Golden schedule digests of the request-level serving runtime.
 
 Each run below is hashed down to its schedule: every completed request's
-id, model, priority, arrival, dispatch, completion, batch size, worker
-and retry count (in completion order), every batch record, the
-reject/timeout/failure counters and the autoscaler's scaling events.
-Times are rendered with ``float.hex``, so a one-ulp move of any
-dispatch or completion fails here.
+id, model, priority, arrival, dispatch, completion, batch size and
+worker (in completion order), every batch record, the reject, evict and
+timeout counters and the autoscaler's scaling events.  Times are
+rendered with ``float.hex``, so a one-ulp move of any dispatch or
+completion fails here.
 
 The runs are the four micro-batched ``bench_serving`` smoke scenarios
 and their batch-1 baseline, the ``bench_autoscale`` smoke autoscaled
-deployment, and a crash-plus-slow fault storm with a batching window.
-In all of them every model has a replica on every worker.  The digests
-were recorded while ``ServingRuntime.run`` still re-armed a batching
-timer after every drain, so they pin the event loop's bookkeeping to
-the schedule it produced then.
+deployment, and an overloaded two-worker deployment whose requests
+carry a deadline.  In all of them every model has a replica on every
+worker.  The digests were recorded while ``ServingRuntime.run`` still
+re-armed a batching timer after every drain, so they pin the event
+loop's bookkeeping to the schedule it produced then.
+
+The runtime once had a worker-fault plane with per-request retry counts
+and failure, retry, hedge, crash and replacement counters.  Those
+fields were 0 on every run here, so the rendering keeps a literal ``0``
+in their place and the digests stay the ones recorded with them.
 """
 
 import hashlib
@@ -26,10 +31,7 @@ from repro.serve import (
     AutoscalerPolicy,
     BatchPolicy,
     ExecutorPool,
-    FaultPlan,
-    HealthPolicy,
     ModelProfile,
-    RetryPolicy,
     ServingRuntime,
     bursty_scenario,
     diurnal_scenario,
@@ -45,7 +47,7 @@ GOLDEN = {
     "serving_multi_tenant": "dff9819f37499f3ba0f8abf0927267e61a1215f982b697f66d4789efb3955f66",
     "serving_poisson_batch1": "fe1f525231746dd88f19cdd12a2edf223fd35a649b4790968e0683b863616c9d",
     "autoscale_autoscaled": "cf6f3e2ec92c980cb5b62eaa095824ab81b2bc64bb93559e7e4afa9ace2c0f11",
-    "fault_storm": "805dc00b607957ed2b81eb363b3d5b14462dde473944edaba9ffb2208264a1cf",
+    "deadline_overload": "a74a77e21f68eea0dbcacf744af915712d40131c871500aad5cf2b859d296d9d",
 }
 
 
@@ -117,30 +119,25 @@ def autoscaled_run():
     return runtime, runtime.run(scenario, seed=42)
 
 
-def fault_storm_run():
-    """Two crashes and a slow worker under a 5e-8 s batching window.
+def deadline_overload_run():
+    """Two workers, a 5e-8 s batching window and a 1.5e-7 s deadline.
 
-    The load also sheds and times out requests: of 2,052 arrivals, 146
-    are rejected, 58 time out and 10 retry, and both dead workers are
-    replaced.  The counters are part of the digest.
+    The load sheds and times out requests: of 2,052 arrivals, 1,489
+    complete, 240 are shed (43 of them evicted) and 323 time out.  The
+    counters are part of the digest.
     """
     runtime = ServingRuntime(
-        ExecutorPool(3),
+        ExecutorPool(2),
         BatchPolicy(max_batch_size=8, max_wait_s=5e-8, aging_rate_per_s=1e7),
         queue_capacity=128,
-        retry=RetryPolicy(max_retries=2, deadline_s=1.5e-7),
-        health=HealthPolicy(suspect_after_s=2e-8, dead_after_s=6e-8),
+        deadline_s=1.5e-7,
     )
-    runtime.register_model(ModelProfile("a", mlp(0, (32, 64, 16)), replicas=3))
-    runtime.register_model(ModelProfile("b", mlp(1, (16, 32, 8)), replicas=3))
+    runtime.register_model(ModelProfile("a", mlp(0, (32, 64, 16)), replicas=2))
+    runtime.register_model(ModelProfile("b", mlp(1, (16, 32, 8)), replicas=2))
     scenario = multi_tenant_priority_scenario(
         {"a": 2.0, "b": 1.0}, 2e9, 1e-6, {"a": {0: 3, 2: 1}}, seed=5
     )
-    plan = (
-        FaultPlan.replica_kills([(2e-7, 0), (5e-7, 1)])
-        .merge(FaultPlan.slow_worker(3e-7, 2, factor=3.0, duration_s=4e-7))
-    )
-    return runtime, runtime.run(scenario, seed=6, faults=plan)
+    return runtime, runtime.run(scenario, seed=6)
 
 
 def schedule_lines(runtime, telemetry):
@@ -149,7 +146,7 @@ def schedule_lines(runtime, telemetry):
         lines.append(
             f"req {r.request_id} {r.model} {r.priority} "
             f"{r.arrival_time.hex()} {r.dispatch_time.hex()} "
-            f"{r.completion_time.hex()} {r.batch_size} {r.worker_id} {r.retries}"
+            f"{r.completion_time.hex()} {r.batch_size} {r.worker_id} 0"
         )
     for b in telemetry.batches:
         lines.append(
@@ -159,8 +156,7 @@ def schedule_lines(runtime, telemetry):
     lines.append(
         "counters "
         f"{telemetry.rejected} {telemetry.evicted} {telemetry.timeouts} "
-        f"{telemetry.failed} {telemetry.retries} {telemetry.hedges} "
-        f"{telemetry.crashes} {telemetry.replacements}"
+        f"{telemetry.failed} 0 0 0 0"
     )
     if runtime.autoscaler is not None:
         for event in runtime.autoscaler.events:
@@ -182,8 +178,8 @@ def schedule_digest(runtime, telemetry):
 def run(name):
     if name == "autoscale_autoscaled":
         return autoscaled_run()
-    if name == "fault_storm":
-        return fault_storm_run()
+    if name == "deadline_overload":
+        return deadline_overload_run()
     microbatch = BatchPolicy(max_batch_size=32, max_wait_s=5e-8)
     if name == "serving_poisson_batch1":
         return serving_run(

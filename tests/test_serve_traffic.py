@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    SCENARIO_NAMES,
     Priority,
     bursty_scenario,
     diurnal_scenario,
@@ -158,13 +157,6 @@ class TestScenarios:
     def test_multi_tenant_rejects_bad_mix(self):
         with pytest.raises(ValueError):
             multi_tenant_scenario({"a": -1.0}, 10.0, 1.0)
-
-    def test_canonical_names(self):
-        assert set(SCENARIO_NAMES) == {
-            "poisson", "bursty", "diurnal", "multi_tenant",
-            "priority", "multi_tenant_priority", "decode",
-            "shared_prefix", "multiturn",
-        }
 
 
 class TestPriorityScenarios:
