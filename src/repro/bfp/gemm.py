@@ -45,9 +45,13 @@ def bfp_encode_matrix(
     rows, cols = mat.shape
     g = config.g
     num_groups = max(1, -(-cols // g))
-    padded = np.zeros((rows, num_groups * g), dtype=np.float64)
-    padded[:, :cols] = mat
-    return _encode_grouped(padded.reshape(rows, num_groups, g), config, rng)
+    if cols == num_groups * g:  # whole groups already: no zero-pad copy
+        grouped = np.ascontiguousarray(mat).reshape(rows, num_groups, g)
+    else:
+        padded = np.zeros((rows, num_groups * g), dtype=np.float64)
+        padded[:, :cols] = mat
+        grouped = padded.reshape(rows, num_groups, g)
+    return _encode_grouped(grouped, config, rng)
 
 
 def bfp_matmul_exact(

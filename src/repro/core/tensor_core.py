@@ -8,8 +8,10 @@ whole GEMM at once.
 1.  tile the FP operands to the array geometry,
 2.  convert tiles to BFP (shared exponents, ``bm``-bit mantissae) — one
     encode per operand (Fig. 2 step 2),
-3.  forward-convert *all* signed mantissae to RNS residues in one call
-    (step 3),
+3.  forward-convert *all* signed mantissae to RNS residues with one
+    ``mantissae mod m_i`` (step 3): exact, since every ``m_i`` divides
+    ``M`` and Eq. 13, checked at construction, keeps every mantissa far
+    inside the signed range ``[-ψ, M - 1 - ψ]``,
 4.  pack the weight residues into the ``(n, G, T, v, g)`` tile tensor —
     this is :meth:`PhotonicRnsTensorCore.program`, and the result can be
     cached so weight-static workloads (inference, multi-input streaming)
@@ -52,7 +54,7 @@ import numpy as np
 from ..bfp.format import BFPConfig
 from ..bfp.gemm import bfp_encode_matrix
 from ..photonic.mdpu import NoiseModel, RnsMMVMU
-from ..rns.conversion import forward_convert_signed, to_signed
+from ..rns.conversion import to_signed
 from ..rns.moduli import ModuliSet, choose_k_min, special_moduli_set
 
 __all__ = ["CoreConfig", "PhotonicRnsTensorCore", "ProgrammedWeights"]
@@ -158,6 +160,7 @@ class PhotonicRnsTensorCore:
         )
         self._fused_ok = bound < (1 << 53)
         self._crt_col = np.array(crt_w, dtype=np.int64).reshape(-1, 1, 1)
+        self._moduli_col = self.mset.as_array().reshape(-1, 1, 1, 1)
 
     # ------------------------------------------------------------------
     # Stats (consumed by examples / tests)
@@ -189,7 +192,7 @@ class PhotonicRnsTensorCore:
         w_mant, w_exp = bfp_encode_matrix(w, cfg.bfp())  # (R, G, g), (R, G)
         num_groups = w_mant.shape[1]
         row_tiles = -(-r // cfg.v)
-        w_res = forward_convert_signed(w_mant, self.mset)  # (n, R, G, g)
+        w_res = self._residues(w_mant)  # (n, R, G, g)
         padded = np.zeros(
             (self.mset.n, row_tiles * cfg.v, num_groups, cfg.g), dtype=np.int64
         )
@@ -210,6 +213,11 @@ class PhotonicRnsTensorCore:
         return ProgrammedWeights(
             (r, w.shape[1]), tiles, w_exp, w.copy(), fused
         )
+
+    def _residues(self, mantissae: np.ndarray) -> np.ndarray:
+        """``(n, *shape)`` residues of signed mantissae (module docstring,
+        step 3, says why this equals ``forward_convert_signed``)."""
+        return np.mod(mantissae, self._moduli_col)
 
     # ------------------------------------------------------------------
     # GEMM entry points
@@ -280,9 +288,11 @@ class PhotonicRnsTensorCore:
             return np.zeros((r, c))
         num_groups, row_tiles = pw.num_groups, pw.row_tiles
 
-        # Steps 2-3: encode and forward-convert the whole input batch once.
+        # Steps 2-3: encode the whole input batch once; ``mantissae mod
+        # m_i`` gives every residue, exact since each m_i divides M and
+        # Eq. 13 (checked in __init__) keeps mantissae inside [-ψ, M-1-ψ].
         x_mant, x_exp = bfp_encode_matrix(x.T, cfg.bfp())  # (C, G, g), (C, G)
-        x_res = forward_convert_signed(x_mant, self.mset)  # (n, C, G, g)
+        x_res = self._residues(x_mant)  # (n, C, G, g)
 
         # Steps 5-7: every modular MVM of every tile in one batched pass,
         # then one reverse conversion into the (G, R, C) output tensor.

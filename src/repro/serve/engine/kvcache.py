@@ -389,6 +389,9 @@ class KVBlockManager:
                 f"{self._tokens[session_id]} (release and re-prefill instead)"
             )
         table = self._tables[session_id]
+        if tokens <= len(table) * self.block_tokens:
+            self._tokens[session_id] = tokens  # fits the last block
+            return True
         fresh = self._claim_fresh(self.blocks_for(tokens) - len(table))
         if fresh is None:
             return False

@@ -855,8 +855,9 @@ class TokenServingEngine:
                 # A session admitted above but preempted during growth
                 # never joins this step's batch — its chunk must not be
                 # priced (it re-prefills when readmitted).
-                plan = [(s, c, q) for s, c, q in plan if s in running]
-                decoders = [s for s in decoders if s in running]
+                live = set(running)
+                plan = [(s, c, q) for s, c, q in plan if s in live]
+                decoders = [s for s in decoders if s in live]
             else:
                 decoders = list(running)
             if not running:
@@ -1006,6 +1007,8 @@ class TokenServingEngine:
                         category=phase,
                         args=chunk_args.get(sid, step_args),
                     )
+            if outputs is not None:
+                inputs = next_token_input(outputs)  # row-local: one call per step
             for i, session in enumerate(decoders):
                 if session.finished:
                     continue  # static-mode padding slot
@@ -1016,9 +1019,8 @@ class TokenServingEngine:
                     continue
                 session.tokens_generated += 1
                 if outputs is not None:
-                    row = outputs[i]
-                    session.outputs.append(row.copy())
-                    session.x = next_token_input(row)
+                    session.outputs.append(outputs[i].copy())
+                    session.x = inputs[i]
                 if session.first_token_time is None:
                     session.first_token_time = t_end
                     if self.tracer is not None:

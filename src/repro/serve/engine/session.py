@@ -40,14 +40,20 @@ __all__ = [
 
 
 def next_token_input(out_row: np.ndarray) -> np.ndarray:
-    """Deterministic token recurrence: the next step's input row.
+    """Deterministic token recurrence: the next step's input row(s).
 
-    The output row, rescaled by its own max-magnitude when that exceeds
-    one, so arbitrarily long decodes stay bounded.  Every operation is
-    row-local (no reduction across the batch), which is what makes the
-    per-token stream independent of batch composition.
+    Takes one output row or a matrix of rows, and rescales each row by
+    its own max-magnitude when that exceeds one, so arbitrarily long
+    decodes stay bounded.  Every operation is row-local (no reduction
+    across the batch), which is what makes the per-token stream
+    independent of batch composition: the engine maps a step's whole
+    output matrix at once, the batch-1 reference one row at a time, and
+    the two agree bit for bit.  The input is never modified.
     """
     row = np.asarray(out_row, dtype=np.float64)
+    if row.ndim == 2:
+        scale = np.abs(row).max(axis=1, keepdims=True, initial=0.0)
+        return np.divide(row, scale, out=row.copy(), where=scale > 1.0)
     scale = float(np.max(np.abs(row))) if row.size else 0.0
     return row / scale if scale > 1.0 else row
 

@@ -132,8 +132,7 @@ class PoolWorker:
         tokens: int = 0,
     ) -> np.ndarray:
         """Execute one micro-batch functionally and book the busy window."""
-        stacked = np.stack([np.asarray(x, dtype=np.float64) for x in xs])
-        out = self.executor.run_sequential(model, stacked)
+        out = self.executor.run_sequential(model, np.array(xs, dtype=np.float64))
         self.run_booking(model_name, len(xs), now, service_s, tokens=tokens)
         return out
 

@@ -1,7 +1,8 @@
 """Tests for the shared BFP grouping kernel behind every BFP entry point.
 
 ``quantize_tensor`` groups an operand in its own layout, while
-``encode_groups`` and ``bfp_encode_matrix`` group a zero-padded copy.  These
+``encode_groups`` and ``bfp_encode_matrix`` group a zero-padded copy
+(``bfp_encode_matrix`` only when the last group is ragged).  These
 tests pin that all of them produce the same values: lane by lane against
 the 1-D encoder, on groups of tiny magnitude, and on seeded
 stochastic-rounding streams.
@@ -191,6 +192,16 @@ class TestStochasticStreams:
         mant, exps = bfp_encode_matrix(_ragged()[4], self.CFG, np.random.default_rng(2))
         assert _digest(mant, exps) == (
             "36812639a582b44815bb6af54acd42da357b3cb0de3a3a58ed73df77c96c8cd7"
+        )
+
+    def test_encode_matrix_whole_groups_stream(self):
+        """Whole groups skip the zero-pad copy; non-C layouts keep the stream."""
+        rng = np.random.default_rng(2)
+        x = _ragged()[4][:, :36]  # 36 columns at g = 4, a strided view
+        first = bfp_encode_matrix(x, self.CFG, rng)
+        second = bfp_encode_matrix(x.T.copy().T, self.CFG, rng)  # Fortran order
+        assert _digest(*first, *second) == (
+            "c9afc07b8c2b1d5e8e64e763ff0c89b58bd9221b8814c449fdbe1b5048745093"
         )
 
     def test_quantize_tensor_matches_lanes_stream(self):

@@ -72,6 +72,19 @@ class TestReprogramOnWeightUpdate:
         assert ex.cache_info()["misses"] == 2
         assert np.array_equal(after, before * 2.0)
 
+    def test_in_place_weight_write_reprograms(self):
+        """A write into the same weight array must miss the cache: only a
+        content comparison of the programmed source catches it."""
+        ex = PhotonicExecutor()
+        layer = Linear(8, 4, bias=False, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 8))
+        before = ex.linear(layer, x)
+        layer.weight.data[...] *= 2.0
+        after = ex.linear(layer, x)
+        assert ex.cache_info()["misses"] == 2
+        assert np.array_equal(after, before * 2.0)
+        assert np.array_equal(after, PhotonicExecutor().linear(layer, x))
+
     def test_unchanged_weights_do_not_reprogram(self):
         ex = PhotonicExecutor()
         layer = Linear(8, 4, rng=np.random.default_rng(0))

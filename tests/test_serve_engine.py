@@ -190,6 +190,17 @@ class TestKVBlockManager:
         assert kv.grow_to(1, 5) is False
         assert kv.resident_tokens(1) == 4  # unchanged
 
+    def test_grow_within_last_block_on_dry_pool(self):
+        kv = KVBlockManager(2, 4)
+        assert kv.reserve(1, 3)
+        assert kv.reserve(2, 4)  # every block pinned
+        before = kv.stats()
+        assert kv.grow_to(1, 4) is True  # fits the last block
+        assert kv.stats() == before
+        assert kv.grow_to(1, 5) is False
+        assert kv.resident_tokens(1) == 4
+        assert kv.stats() == before
+
     def test_double_reserve_and_unknown_session_raise(self):
         kv = KVBlockManager(4, 4)
         kv.reserve(1, 2)
@@ -292,6 +303,23 @@ class TestDecodeSession:
         assert np.max(np.abs(out)) == 1.0
         small = np.array([0.25, -0.5])
         assert np.array_equal(next_token_input(small), small)
+        # A matrix maps each row on its own, bit for bit, in a new array.
+        rows = np.array(
+            [
+                [3.0, -6.0, 1.5],  # max magnitude above 1
+                [1.0, -0.5, 0.25],  # exactly 1
+                [0.25, -0.5, 0.1],  # below 1
+                [0.0, -0.0, 0.0],  # all zero
+                [0.7, -9.3, 4.1],  # largest magnitude is negative
+            ]
+        )
+        kept = rows.copy()
+        out = next_token_input(rows)
+        assert out.shape == rows.shape
+        for got, row in zip(out, rows):
+            want = next_token_input(row)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(rows.view(np.uint64), kept.view(np.uint64))
 
 
 # ----------------------------------------------------------------------
