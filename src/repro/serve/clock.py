@@ -23,17 +23,14 @@ __all__ = ["SimulatedClock", "time_tolerance", "time_at_or_before"]
 _EPS = sys.float_info.epsilon  # 2**-52
 
 
-def time_tolerance(*ts: float) -> float:
+def time_tolerance(t: float, now: float) -> float:
     """Comparison slack for simulated timestamps: a few ulps, scaled.
 
-    ``4 * eps * max(1, |t|...)`` matches the old absolute ``1e-15`` for
-    sub-second simulations (where ``max(...)`` clamps to 1) and scales
-    with the floating-point spacing for large timestamps.
+    ``4 * eps * max(1, |t|, |now|)`` matches the old absolute ``1e-15``
+    for sub-second simulations (where ``max(...)`` clamps to 1) and
+    scales with the floating-point spacing for large timestamps.
     """
-    scale = 1.0
-    for t in ts:
-        scale = max(scale, abs(t))
-    return 4.0 * _EPS * scale
+    return 4.0 * _EPS * max(1.0, abs(t), abs(now))
 
 
 def time_at_or_before(t: float, now: float) -> bool:

@@ -126,6 +126,8 @@ class AdmissionQueue:
         )
         self._depth = 0
         self._evicted_pending: List[InferenceRequest] = []
+        # waiting()'s view, rebuilt on the first read after a change.
+        self._waiting: Optional[Tuple[Tuple[str, int, float], ...]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -138,20 +140,29 @@ class AdmissionQueue:
             return 0
         return sum(len(q) for q in classes.values())
 
-    def models_waiting(self) -> List[str]:
-        """Models with at least one waiting request, oldest-queue first."""
-        return [
-            m
-            for m, classes in self._queues.items()
-            if any(classes.values())
-        ]
+    def waiting(self) -> Tuple[Tuple[str, int, float], ...]:
+        """``(model, waiting count, oldest arrival)`` of each model with
+        waiting requests, oldest-queue first.
 
-    def oldest_arrival(self, model: str) -> Optional[float]:
-        classes = self._queues.get(model)
-        if not classes:
-            return None
-        heads = [q[0].arrival_time for q in classes.values() if q]
-        return min(heads) if heads else None
+        One walk over the class deques builds it, and the tuple is kept
+        until the queue next changes (an admission, an expiry or a popped
+        batch), so the batcher's reads within one poll share one walk.
+        """
+        if self._waiting is None:
+            view = []
+            for model, classes in self._queues.items():
+                count = 0
+                oldest: Optional[float] = None
+                for q in classes.values():
+                    if q:
+                        count += len(q)
+                        head = q[0].arrival_time
+                        if oldest is None or head < oldest:
+                            oldest = head
+                if count:
+                    view.append((model, count, oldest))
+            self._waiting = tuple(view)
+        return self._waiting
 
     def class_heads(self, model: str) -> List[InferenceRequest]:
         """Oldest waiting request of each class of ``model``."""
@@ -180,6 +191,8 @@ class AdmissionQueue:
         classes = self._queues.setdefault(request.model, {})
         classes.setdefault(request.priority, deque()).append(request)
         self._depth += 1
+        # Also covers an eviction above: _remove's only caller is here.
+        self._waiting = None
         request.status = RequestStatus.QUEUED
         return True
 
@@ -207,7 +220,9 @@ class AdmissionQueue:
                     request = q.popleft()
                     request.status = RequestStatus.TIMED_OUT
                     expired.append(request)
-        self._depth -= len(expired)
+        if expired:
+            self._depth -= len(expired)
+            self._waiting = None
         return expired
 
     def _evict_candidate(self, priority: int) -> Optional[InferenceRequest]:
@@ -268,5 +283,7 @@ class AdmissionQueue:
             if best_p is None:
                 break
             batch.append(classes[best_p].popleft())
-        self._depth -= len(batch)
+        if batch:
+            self._depth -= len(batch)
+            self._waiting = None
         return batch

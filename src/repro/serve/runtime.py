@@ -61,6 +61,7 @@ from .pool import ExecutorPool
 from .request import AdmissionQueue, InferenceRequest, RequestStatus
 from .shapes import model_layer_shapes
 from .telemetry import Telemetry, percentile, summarize_latencies
+from .traffic import _check_finite
 
 __all__ = [
     "AutoscalerPolicy",
@@ -94,8 +95,8 @@ class ModelProfile:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError(f"slo_s must be > 0, got {self.slo_s}")
+        if self.slo_s is not None and not 0 < self.slo_s < math.inf:
+            raise ValueError(f"slo_s must be finite and > 0, got {self.slo_s}")
 
     def input_dim(self) -> int:
         return infer_input_dim(self.model)
@@ -196,6 +197,7 @@ class AutoscalerPolicy:
     scale_down_cooldown_s: float = 4e-7
 
     def __post_init__(self):
+        _check_finite(**vars(self))
         if self.interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {self.interval_s}")
         if self.window_s <= 0:
@@ -412,8 +414,8 @@ class ServingRuntime:
         deadline_s: Optional[float] = None,
         observability=None,
     ):
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+        if deadline_s is not None and not 0 < deadline_s < math.inf:
+            raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
         self.pool = pool
         self.batcher = MicroBatcher(policy)
         self.queue = AdmissionQueue(queue_capacity)
@@ -433,6 +435,7 @@ class ServingRuntime:
         )
         self.deadline_s = deadline_s
         self._profiles: Dict[str, ModelProfile] = {}
+        self._input_shapes: Dict[str, Tuple[int, ...]] = {}
         self._req_ids = itertools.count()
 
     # ------------------------------------------------------------------
@@ -443,9 +446,20 @@ class ServingRuntime:
 
         Validates the profile eagerly (GEMM layers present, ``input_hw``
         given for conv models) so a bad profile fails here, not at the
-        first arrival mid-scenario.
+        first arrival mid-scenario, and records the model's request input
+        shape: ``(in_features,)`` for a Linear-first model, ``(C_in, H,
+        W)`` for a conv-first one (a stacked batch of either is what
+        ``run_sequential`` expects).
         """
         model_layer_shapes(profile.name, profile.model, 1, profile.input_hw)
+        first = next(
+            layer for layer in profile.model if isinstance(layer, (Linear, Conv2d))
+        )
+        self._input_shapes[profile.name] = (
+            (first.in_features,)
+            if isinstance(first, Linear)
+            else (first.in_channels, *profile.input_hw)
+        )
         self._profiles[profile.name] = profile
         self.service.register(profile)
         return self.pool.place(
@@ -475,7 +489,7 @@ class ServingRuntime:
         def push(t: float, kind: int, payload: object) -> None:
             if kind == _DEADLINE:
                 # Exact membership is intended: a duplicate wake-up carries
-                # the identical float (oldest_arrival + max_wait_s).
+                # the identical float (oldest arrival + max_wait_s).
                 if t in armed:
                     return
                 armed.add(t)
@@ -537,33 +551,10 @@ class ServingRuntime:
         return self.telemetry
 
     # ------------------------------------------------------------------
-    def _default_input(
-        self, profile: ModelProfile, rng: np.random.Generator
-    ) -> np.ndarray:
-        """A random input matching the model's first GEMM layer.
-
-        Linear-first models get a ``(in_features,)`` row; conv-first
-        models get a ``(C_in, H, W)`` image (stacking a batch of either
-        yields exactly what ``run_sequential`` expects).
-        """
-        for layer in profile.model:
-            if isinstance(layer, Linear):
-                return rng.standard_normal(layer.in_features)
-            if isinstance(layer, Conv2d):
-                if profile.input_hw is None:
-                    raise ValueError(
-                        f"model {profile.name!r} is conv-first; its profile "
-                        "needs input_hw to synthesize default inputs"
-                    )
-                return rng.standard_normal(
-                    (layer.in_channels, *profile.input_hw)
-                )
-        raise ValueError(f"model {profile.name!r} has no GEMM layers")
-
     def _admit(
         self, model: str, priority: int, now: float, rng: np.random.Generator
     ) -> None:
-        x = self._default_input(self._profiles[model], rng)
+        x = rng.standard_normal(self._input_shapes[model])
         request = InferenceRequest(
             next(self._req_ids), model, x, now, priority=priority
         )

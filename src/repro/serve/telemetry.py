@@ -105,6 +105,10 @@ class Telemetry:
         self._m_queue_depth = reg.gauge(
             "serve_queue_depth", "Admission queue depth (streamed series)"
         )
+        # Children of the per-request metrics, kept after their first use
+        # (created lazily, so the Prometheus text shows only touched ones).
+        self._completed_children: Dict[Tuple[str, int], object] = {}
+        self._queue_depth_child = None
         self.completed: List[InferenceRequest] = []
         self.rejected: int = 0
         self.rejected_by_class: Counter = Counter()
@@ -157,12 +161,18 @@ class Telemetry:
 
     def record_completion(self, request: InferenceRequest) -> None:
         self.completed.append(request)
-        self._m_completed.labels(request.model, request.priority).inc()
+        key = (request.model, request.priority)
+        child = self._completed_children.get(key)
+        if child is None:
+            child = self._completed_children[key] = self._m_completed.labels(*key)
+        child.inc()
         if request.total_latency is not None:
             self._m_latency.observe(request.total_latency, request.model)
 
     def sample_queue_depth(self, now: float, depth: int) -> None:
-        self._m_queue_depth.labels().set(depth, t=now)
+        if self._queue_depth_child is None:
+            self._queue_depth_child = self._m_queue_depth.labels()
+        self._queue_depth_child.set(depth, t=now)
 
     # ------------------------------------------------------------------
     # Reductions

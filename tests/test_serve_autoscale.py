@@ -70,7 +70,7 @@ class TestClassAwareAdmission:
         assert q.pending("m") == 3
         heads = {r.priority: r.request_id for r in q.class_heads("m")}
         assert heads == {0: 0, 2: 1}
-        assert q.oldest_arrival("m") == 0.0
+        assert q.waiting() == (("m", 3, 0.0),)
 
 
 class TestPriorityServingEndToEnd:
@@ -167,6 +167,21 @@ class TestAutoscalerPolicy:
             AutoscalerPolicy(slo_scale_up=0.5, slo_scale_down=0.9)
         with pytest.raises(ValueError):
             AutoscalerPolicy(queue_high_per_replica=0.0)
+        knobs = (
+            "interval_s",
+            "window_s",
+            "slo_scale_up",
+            "slo_scale_down",
+            "queue_high_per_replica",
+            "queue_low_per_replica",
+            "scale_down_cooldown_s",
+        )
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for knob in knobs:
+                with pytest.raises(ValueError, match=f"{knob} must be finite"):
+                    AutoscalerPolicy(**{knob: bad})
+            with pytest.raises(ValueError, match="slo_s must be finite"):
+                ModelProfile("m", mlp(0), slo_s=bad)
 
     def test_prewarm_latency_from_arch_model(self):
         pool = ExecutorPool(2)

@@ -221,6 +221,10 @@ class TestKnobValidation:
     def test_runtime_deadline_must_be_positive(self):
         with pytest.raises(ValueError, match="deadline_s"):
             ServingRuntime(ExecutorPool(1), deadline_s=0.0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="deadline_s must be finite"):
+                ServingRuntime(ExecutorPool(1), deadline_s=bad)
+        assert ServingRuntime(ExecutorPool(1), deadline_s=None).deadline_s is None
 
     def test_engine_max_waiting(self):
         with pytest.raises(ValueError):

@@ -109,8 +109,7 @@ class TestAdmissionQueue:
         batch = q.pop_batch("a", 10)
         assert [r.request_id for r in batch] == [1, 3]
         assert q.pending("a") == 0 and q.pending("b") == 2
-        assert q.oldest_arrival("b") == 0
-        assert q.models_waiting() == ["b"]
+        assert q.waiting() == (("b", 2, 0),)
 
 
 class TestMicroBatcher:
@@ -150,6 +149,11 @@ class TestMicroBatcher:
             BatchPolicy(max_wait_s=-1.0)
         with pytest.raises(ValueError):
             BatchPolicy(aging_rate_per_s=-0.1)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="max_wait_s must be finite"):
+                BatchPolicy(max_wait_s=bad)
+            with pytest.raises(ValueError, match="aging_rate_per_s must be finite"):
+                BatchPolicy(aging_rate_per_s=bad)
 
     # ----- tie-breaking ------------------------------------------------
     def test_tie_break_equal_urgency_earliest_deadline_wins(self):

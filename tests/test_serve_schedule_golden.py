@@ -15,6 +15,12 @@ worker.  The digests were recorded while ``ServingRuntime.run`` still
 re-armed a batching timer after every drain, so they pin the event
 loop's bookkeeping to the schedule it produced then.
 
+A second digest per run pins what the schedule leaves out: the run's
+Prometheus text, the ``serve_queue_depth`` gauge's streamed series and
+every completed request's input bytes (in request-id order).  It fails
+when a metric child is created in a different order or a request's
+input is drawn differently, even if the schedule is unchanged.
+
 The runtime once had a worker-fault plane with per-request retry counts
 and failure, retry, hedge, crash and replacement counters.  Those
 fields were 0 on every run here, so the rendering keeps a literal ``0``
@@ -48,6 +54,16 @@ GOLDEN = {
     "serving_poisson_batch1": "fe1f525231746dd88f19cdd12a2edf223fd35a649b4790968e0683b863616c9d",
     "autoscale_autoscaled": "cf6f3e2ec92c980cb5b62eaa095824ab81b2bc64bb93559e7e4afa9ace2c0f11",
     "deadline_overload": "a74a77e21f68eea0dbcacf744af915712d40131c871500aad5cf2b859d296d9d",
+}
+
+METRICS_GOLDEN = {
+    "serving_poisson": "1f67e8148133729013de127d8df42ee50b122ee41cf84b75318e288a0af07510",
+    "serving_bursty": "c493abf47f509d6a7b393fcc5211929bea99c4b6fa3de8b615a43fd82ec5557d",
+    "serving_diurnal": "169f8bf3e184a8f7b177c6426df75bdd8f7d42828ee52ae743e5ff9f80fe2b06",
+    "serving_multi_tenant": "886a583ae66e497f0583b44a6686ff9bea94cf6bb031990e3c72eb9897896180",
+    "serving_poisson_batch1": "990346eca2bfd01a1b69747c3068f851a4d87d40437b6ae3acef8b836c844b69",
+    "autoscale_autoscaled": "45424d069dbc768d45ac38ec919679f80d830c2bcd251e51017335a7d67c4bea",
+    "deadline_overload": "08b10d2edeec331b8b756b57e994a3c9098d704d3a2eab5b10e4f3264dc9369e",
 }
 
 
@@ -175,6 +191,15 @@ def schedule_digest(runtime, telemetry):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def metrics_digest(telemetry):
+    h = hashlib.sha256(telemetry.registry.prometheus_text().encode())
+    for t, depth in telemetry.registry.get("serve_queue_depth").series():
+        h.update(f"{t.hex()} {depth.hex()}\n".encode())
+    for r in sorted(telemetry.completed, key=lambda r: r.request_id):
+        h.update(r.x.tobytes())
+    return h.hexdigest()
+
+
 def run(name):
     if name == "autoscale_autoscaled":
         return autoscaled_run()
@@ -197,3 +222,9 @@ def test_schedule_matches_the_golden_digest(name):
     runtime, telemetry = run(name)
     assert telemetry.completed
     assert schedule_digest(runtime, telemetry) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_GOLDEN))
+def test_metrics_and_inputs_match_the_golden_digest(name):
+    _, telemetry = run(name)
+    assert metrics_digest(telemetry) == METRICS_GOLDEN[name]
