@@ -91,6 +91,15 @@ HEADLINES = (
             ("memory_budget_ratio", "<= 1.0"),
         ),
     ),
+    (
+        "BENCH_reach.json",
+        "reach",
+        (
+            ("totals/executable_lines", "src/repro, python -m benchmarks.reach"),
+            ("totals/unreached_lines", "run by no non-test entry point"),
+            ("totals/never_entered_functions", "each deleted or kept for a reason"),
+        ),
+    ),
 )
 
 

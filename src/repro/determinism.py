@@ -1,6 +1,6 @@
 """RNG discipline for the simulation stack.
 
-Every stochastic component (photonic noise models, nn init/dropout,
+Every stochastic component (photonic noise models, nn init,
 stochastic BFP rounding, traffic generators) takes an ``rng`` argument
 and resolves it through :func:`resolve_rng`:
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..quant.formats import GemmQuantizer
-from .layers import Dropout, LayerNorm, Module
+from .layers import LayerNorm, Module
 from .quantized import QuantizedLinear, quantized_matmul
 from .tensor import Tensor
 
@@ -112,7 +112,6 @@ class MultiHeadAttention(Module):
         dim: int,
         num_heads: int,
         quantizer: Optional[GemmQuantizer] = None,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         quantize_attention: bool = False,
     ):
@@ -128,7 +127,6 @@ class MultiHeadAttention(Module):
         self.k_proj = QuantizedLinear(dim, dim, quantizer=quantizer, rng=rng)
         self.v_proj = QuantizedLinear(dim, dim, quantizer=quantizer, rng=rng)
         self.out_proj = QuantizedLinear(dim, dim, quantizer=quantizer, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng) if dropout else None
 
     def _split(self, x: Tensor) -> Tensor:
         n, t, _ = x.shape
@@ -165,24 +163,18 @@ class MultiHeadAttention(Module):
         if mask is not None:
             scores = scores + Tensor(mask)
         attn = scores.softmax(axis=-1)
-        if self.dropout is not None:
-            attn = self.dropout(attn)
         out = self._merge(self._mm(attn, v))
         return self.out_proj(out)
 
 
 class _FeedForward(Module):
-    def __init__(self, dim: int, hidden: int, quantizer, dropout, rng):
+    def __init__(self, dim: int, hidden: int, quantizer, rng):
         super().__init__()
         self.fc1 = QuantizedLinear(dim, hidden, quantizer=quantizer, rng=rng)
         self.fc2 = QuantizedLinear(hidden, dim, quantizer=quantizer, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng) if dropout else None
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.fc1(x).relu()
-        if self.dropout is not None:
-            h = self.dropout(h)
-        return self.fc2(h)
+        return self.fc2(self.fc1(x).relu())
 
 
 class TransformerEncoderLayer(Module):
@@ -194,12 +186,11 @@ class TransformerEncoderLayer(Module):
         num_heads: int,
         ff_hidden: int,
         quantizer: Optional[GemmQuantizer] = None,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
-        self.attn = MultiHeadAttention(dim, num_heads, quantizer, dropout, rng)
-        self.ff = _FeedForward(dim, ff_hidden, quantizer, dropout, rng)
+        self.attn = MultiHeadAttention(dim, num_heads, quantizer, rng)
+        self.ff = _FeedForward(dim, ff_hidden, quantizer, rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
 
@@ -217,13 +208,12 @@ class TransformerDecoderLayer(Module):
         num_heads: int,
         ff_hidden: int,
         quantizer: Optional[GemmQuantizer] = None,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
-        self.self_attn = MultiHeadAttention(dim, num_heads, quantizer, dropout, rng)
-        self.cross_attn = MultiHeadAttention(dim, num_heads, quantizer, dropout, rng)
-        self.ff = _FeedForward(dim, ff_hidden, quantizer, dropout, rng)
+        self.self_attn = MultiHeadAttention(dim, num_heads, quantizer, rng)
+        self.cross_attn = MultiHeadAttention(dim, num_heads, quantizer, rng)
+        self.ff = _FeedForward(dim, ff_hidden, quantizer, rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
         self.norm3 = LayerNorm(dim)

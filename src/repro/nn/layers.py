@@ -3,7 +3,7 @@
 Mirrors the torch.nn surface closely enough that the paper's models read
 naturally: :class:`Module` with recursive parameter discovery,
 :class:`Linear`, activations, :class:`BatchNorm2d`, :class:`LayerNorm`,
-:class:`Dropout`, :class:`Embedding` and :class:`Sequential`.
+:class:`Embedding` and :class:`Sequential`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "LeakyReLU",
     "Tanh",
     "Flatten",
-    "Dropout",
     "BatchNorm2d",
     "LayerNorm",
     "Embedding",
@@ -174,23 +173,6 @@ class Tanh(Module):
 class Flatten(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.reshape(x.shape[0], -1)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = resolve_rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
 
 
 class _BatchNorm(Module):

@@ -226,22 +226,6 @@ class Tensor:
 
         return Tensor.from_op(out_data, (self, other), backward)
 
-    def __rsub__(self, other: TensorLike) -> "Tensor":
-        return Tensor._lift(other) - self
-
-    def __truediv__(self, other: TensorLike) -> "Tensor":
-        other = Tensor._lift(other)
-        out_data = self.data / other.data
-
-        def backward(grad):
-            self.accumulate(grad / other.data)
-            other.accumulate(-grad * self.data / (other.data**2))
-
-        return Tensor.from_op(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other: TensorLike) -> "Tensor":
-        return Tensor._lift(other) / self
-
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
@@ -300,11 +284,6 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(tuple(axes))
-
     def __getitem__(self, idx) -> "Tensor":
         out_data = self.data[idx]
         shape = self.data.shape
@@ -326,17 +305,6 @@ class Tensor:
         def backward(grad):
             for t, piece in zip(tensors, np.split(grad, splits, axis=axis)):
                 t.accumulate(piece)
-
-        return Tensor.from_op(out_data, tuple(tensors), backward)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [Tensor._lift(t) for t in tensors]
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad):
-            for i, t in enumerate(tensors):
-                t.accumulate(np.take(grad, i, axis=axis))
 
         return Tensor.from_op(out_data, tuple(tensors), backward)
 
@@ -365,48 +333,9 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad):
-            g = np.asarray(grad)
-            expanded = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                expanded = np.expand_dims(out_data, axis)
-            mask = self.data == expanded
-            counts = mask.sum(axis=axis, keepdims=True)
-            self.accumulate(mask * (g / counts))
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            self.accumulate(grad * out_data)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad):
-            self.accumulate(grad / self.data)
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
@@ -438,15 +367,6 @@ class Tensor:
 
         def backward(grad):
             self.accumulate(grad * np.where(mask, 1.0, slope))
-
-        return Tensor.from_op(out_data, (self,), backward)
-
-    def clip(self, lo: float, hi: float) -> "Tensor":
-        mask = (self.data >= lo) & (self.data <= hi)
-        out_data = np.clip(self.data, lo, hi)
-
-        def backward(grad):
-            self.accumulate(grad * mask)
 
         return Tensor.from_op(out_data, (self,), backward)
 

@@ -105,23 +105,24 @@ run, and KV refcounts balanced at drain.
 
 Observability plane (:mod:`repro.serve.observability`)
 ------------------------------------------------------
-One :class:`Observability` instance passed to either execution model
-wires the whole plane through pool, batcher, monitor and telemetry::
+One :class:`Observability` instance passed to the token engine
+(``TokenServingEngine(observability=...)``) wires the whole plane
+through pool, monitor and telemetry; the request-level runtime keeps
+only its own :class:`Telemetry` registry::
 
     Observability ──┬─ Tracer           span-based tracing on the
-                    │     simulated clock: per-session/request phase
+                    │     simulated clock: per-session phase
                     │     timelines (enqueue → queue_wait → admit →
                     │     prefill/decode → preempt/stall/recover →
                     │     retire), pool dispatch/reprogram spans,
-                    │     crash/replace + health-transition instants,
-                    │     autoscaler decisions with windowed-p99
-                    │     evidence; queryable in memory (gap-free
+                    │     crash/replace + health-transition instants;
+                    │     queryable in memory (gap-free
                     │     timeline checks with exact float boundaries)
                     │     and exportable as Chrome trace-event JSON
                     │     (Perfetto-loadable)
                     ├─ MetricsRegistry  typed counters/gauges/histograms
-                    │     with label sets; Telemetry/EngineTelemetry
-                    │     record through it; lossless Prometheus text
+                    │     with label sets; EngineTelemetry records
+                    │     through it; lossless Prometheus text
                     │     export (parse(render()) == samples() exactly)
                     │     and streaming (t, value) gauge series
                     ├─ HardwareAttributionProfiler  splits every
@@ -132,8 +133,8 @@ wires the whole plane through pool, batcher, monitor and telemetry::
                     │     bit-exactness; non-strict, it fills both
                     │     reports' analytic_consistency
                     └─ SLOTracker       multi-window error-budget
-                          burn-rate monitors per class/tenant, surfaced
-                          by (not acted on by) the autoscaler
+                          burn-rate monitors per class/tenant, fed by
+                          the engine's terminal sessions
 
 An **analysis layer** sits on top of the recording plane — pure
 functions of a finished run, never touched on the hot path::
@@ -248,7 +249,6 @@ from .runtime import (
     ModelProfile,
     ServiceModel,
     ServingRuntime,
-    infer_input_dim,
     model_layer_shapes,
 )
 from .telemetry import EngineTelemetry, Telemetry, percentile, summarize_latencies
@@ -324,7 +324,6 @@ __all__ = [
     "export_run",
     "fleet_rollup",
     "geometric_lengths",
-    "infer_input_dim",
     "lognormal_lengths",
     "model_layer_shapes",
     "multi_tenant_priority_scenario",

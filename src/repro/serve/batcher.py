@@ -68,9 +68,6 @@ class MicroBatcher:
     def __init__(self, policy: Optional[BatchPolicy] = None):
         self.policy = policy or BatchPolicy()
         self._expired: List[InferenceRequest] = []
-        # Observability hook (set by the runtime when tracing): each
-        # formed batch lands as an instant on the control track.
-        self.tracer = None
 
     # ------------------------------------------------------------------
     def next_deadline(
@@ -169,14 +166,6 @@ class MicroBatcher:
                     self._expired.append(r)
                 else:
                     batch.append(r)
-        if self.tracer is not None and now is not None and batch:
-            self.tracer.instant(
-                "control",
-                0,
-                f"batch_formed:{model}",
-                now,
-                args={"batch": len(batch)},
-            )
         return batch
 
     def drain_expired(self) -> List[InferenceRequest]:

@@ -191,7 +191,6 @@ class EngineConfig:
     block_tokens: int = 16
     kv_fraction: float = 0.5
     continuous: bool = True
-    execute: bool = True
     prefix_caching: bool = True
     prefill_chunk_tokens: Optional[int] = None
     recovery: bool = True
@@ -268,9 +267,7 @@ class TokenServingEngine:
         self.telemetry = EngineTelemetry(registry=registry, streaming=streaming)
         if self.tracer is not None:
             pool.set_tracer(self.tracer)
-        pool.place(
-            profile.name, profile.model, replicas=profile.replicas, prewarm=True
-        )
+        pool.place(profile.name, profile.model, replicas=profile.replicas)
         self._admit_seq = itertools.count()
         # Fault plane (populated by run(..., faults=...)): session homes
         # pin each running session's KV to one replica, poisoned session
@@ -961,13 +958,14 @@ class TokenServingEngine:
             booked_s = step_s * worker.service_scale(t)
             stall_s = booked_s - step_s
             active = sum(1 for s in decoders if not s.finished)
-            if cfg.execute and decoders:
+            if decoders:
                 outputs = worker.run_batch(
                     name, model, [s.x for s in decoders], t, booked_s, tokens=active
                 )
+                inputs = next_token_input(outputs)  # row-local: one call per step
             else:
-                outputs = None
-                worker.run_booking(name, len(decoders), t, booked_s, tokens=active)
+                # A prefill-only step books its busy window, with no GEMM.
+                worker.run_booking(name, 0, t, booked_s)
 
             t_end = t + booked_s
             self.clock.advance_to(t_end)
@@ -1007,8 +1005,6 @@ class TokenServingEngine:
                         category=phase,
                         args=chunk_args.get(sid, step_args),
                     )
-            if outputs is not None:
-                inputs = next_token_input(outputs)  # row-local: one call per step
             for i, session in enumerate(decoders):
                 if session.finished:
                     continue  # static-mode padding slot
@@ -1018,9 +1014,8 @@ class TokenServingEngine:
                         self.telemetry.tokens_retried += 1
                     continue
                 session.tokens_generated += 1
-                if outputs is not None:
-                    session.outputs.append(outputs[i].copy())
-                    session.x = inputs[i]
+                session.outputs.append(outputs[i].copy())
+                session.x = inputs[i]
                 if session.first_token_time is None:
                     session.first_token_time = t_end
                     if self.tracer is not None:

@@ -3,11 +3,11 @@
 Four cooperating pieces, all on the simulated clock:
 
 * :mod:`~repro.serve.observability.trace` — a span-based
-  :class:`Tracer`: event-sourced per-session/request timelines
-  (enqueue → queue-wait → admit → prefill/decode/stall → retire) plus
-  pool dispatch/reprogram/crash spans, autoscaler decision instants and
-  fleet-health transitions, queryable in memory and exportable as
-  Chrome trace-event JSON (Perfetto-loadable);
+  :class:`Tracer`: event-sourced per-session timelines of the token
+  engine (enqueue → queue-wait → admit → prefill/decode/stall → retire)
+  plus pool dispatch/reprogram/crash spans and fleet-health
+  transitions, queryable in memory and exportable as Chrome trace-event
+  JSON (Perfetto-loadable);
 * :mod:`~repro.serve.observability.metrics` — a typed
   :class:`MetricsRegistry` (counters/gauges/histograms with label sets)
   that :class:`~repro.serve.telemetry.Telemetry` and
@@ -21,8 +21,8 @@ Four cooperating pieces, all on the simulated clock:
   repricer of a finished run, whose non-strict mode fills both serving
   reports' ``analytic_consistency``;
 * :mod:`~repro.serve.observability.slo` — multi-window
-  :class:`BurnRateMonitor` error-budget tracking per class/tenant,
-  surfaced to (not yet acted on by) the autoscaler.
+  :class:`BurnRateMonitor` error-budget tracking per class/tenant over
+  the engine's terminal sessions.
 
 On top of the collection layer sits the **analysis layer**:
 
@@ -65,9 +65,8 @@ fixed while traffic scales toward the million-session benches:
   by ``benchmarks/bench_obs_scale.py``.
 
 :class:`Observability` bundles them: pass one instance to
-:class:`~repro.serve.engine.TokenServingEngine` or
-:class:`~repro.serve.runtime.ServingRuntime` and the whole plane wires
-itself through the pool, batcher, monitor and telemetry.  Construction
+:class:`~repro.serve.engine.TokenServingEngine` and the whole plane
+wires itself through the pool, monitor and telemetry.  Construction
 is cheap and recording is tuple appends + counter bumps, bounded by the
 ``bench_observability`` overhead gate; analysis runs strictly
 after-the-fact over the recorded state.

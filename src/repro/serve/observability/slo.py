@@ -17,8 +17,8 @@ makespan); :func:`default_windows` encodes the classic fast/slow pair
 for a given horizon.
 
 Monitors are fed per good/bad event (:meth:`SLOTracker.observe`) keyed
-by class/tenant, and the autoscaler *surfaces* firing alerts in its
-decision events and summary — it does not yet act on them.
+by class/tenant; :meth:`SLOTracker.check` collects the alerts firing at
+a given time, and the flight report counts them.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Span-based tracer on the simulated clock.
 
-Every request/session in the serving stack gets an event-sourced
-timeline: ``enqueue -> queue_wait -> admit -> prefill/decode steps ->
+Every session of the token engine gets an event-sourced timeline:
+``enqueue -> queue_wait -> admit -> prefill/decode steps ->
 preempt/stall/recover -> retire``.  The pool emits dispatch and
-weight-reprogram spans per worker, the autoscaler emits decision
-instants with their windowed-p99 evidence, and the ``FleetMonitor``
-emits health-transition instants.  Two consumers:
+weight-reprogram spans per worker, and the ``FleetMonitor`` emits
+health-transition instants.  Two consumers:
 
 * a **queryable in-memory index** — :meth:`Tracer.spans` /
   :meth:`Tracer.instants` filter by track/id/name/category, and
@@ -32,9 +31,9 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = ["Span", "Instant", "Tracer", "TRACKS"]
 
 # Track kind -> Chrome trace pid.  One "process" per subsystem keeps
-# Perfetto's timeline grouped: sessions (token engine), requests
-# (request-level runtime), workers (pool), control (autoscaler,
-# monitor, batcher).
+# Perfetto's timeline grouped: sessions (token engine), workers (pool),
+# control (fleet monitor).  Pid 2 stays reserved for "request" so
+# exported traces keep their pids.
 TRACKS = {"session": 1, "request": 2, "worker": 3, "control": 4}
 
 

@@ -6,7 +6,6 @@ programmed-weight cache).  Models are *placed* on a subset of workers —
 replicas of hot models spread load, cold models share cores — and
 per-request routing among a model's free replicas is pluggable:
 
-* ``round_robin`` — cycle through the model's free replicas;
 * ``least_loaded`` — free replica with the least accumulated busy time;
 * ``cache_affinity`` — prefer free replicas whose core has already
   programmed this model's weight tiles (maximises programmed-cache hits,
@@ -47,7 +46,7 @@ from .clock import time_at_or_before
 
 __all__ = ["PoolWorker", "ExecutorPool", "ROUTING_POLICIES"]
 
-ROUTING_POLICIES = ("round_robin", "least_loaded", "cache_affinity")
+ROUTING_POLICIES = ("least_loaded", "cache_affinity")
 
 
 class PoolWorker:
@@ -99,7 +98,8 @@ class PoolWorker:
         service_s: float,
         tokens: int = 0,
     ) -> None:
-        """Book the busy window only (timing-only runs, no functional exec).
+        """Book one busy window: :meth:`run_batch`'s after its GEMMs, or
+        an engine step that only prefills.
 
         ``tokens`` is the number of output tokens this busy window
         produced — 0 for one-shot request serving, the decode-batch size
@@ -157,7 +157,6 @@ class ExecutorPool:
         self.policy = policy
         self._models: Dict[str, Sequential] = {}
         self._replicas: Dict[str, List[int]] = {}
-        self._rr_state: Dict[str, int] = {}
         self._place_cursor = 0
 
     def set_tracer(self, tracer) -> None:
@@ -172,17 +171,11 @@ class ExecutorPool:
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def place(
-        self,
-        name: str,
-        model: Sequential,
-        replicas: int = 1,
-        prewarm: bool = False,
-    ) -> List[int]:
+    def place(self, name: str, model: Sequential, replicas: int = 1) -> List[int]:
         """Assign ``replicas`` workers to ``name`` (round-robin sharding).
 
-        ``prewarm=True`` programs the model's weight tiles on every
-        replica immediately, so the first live batch hits the cache.
+        The model's weight tiles are programmed on every replica at once,
+        so the first live batch hits the cache.
         """
         replicas = min(max(1, replicas), len(self.workers))
         assigned = []
@@ -191,11 +184,9 @@ class ExecutorPool:
             self._place_cursor += 1
         self._models[name] = model
         self._replicas[name] = assigned
-        self._rr_state[name] = 0
-        if prewarm:
-            for wid in assigned:
-                self.workers[wid].executor.prewarm(model)
-                self.workers[wid].models_programmed.add(name)
+        for wid in assigned:
+            self.workers[wid].executor.prewarm(model)
+            self.workers[wid].models_programmed.add(name)
         return assigned
 
     def scale_to(
@@ -284,7 +275,6 @@ class ExecutorPool:
             self._replicas[name] = [
                 current[i] for i in range(len(current)) if i not in victims
             ]
-            self._rr_state[name] = self._rr_state[name] % max(1, n)
         return {"added": added, "cold": cold, "removed": removed}
 
     def num_replicas(self, name: str) -> int:
@@ -319,15 +309,6 @@ class ExecutorPool:
             if self.workers[w].is_available(now)
         ]
         if not free:
-            return None
-        if self.policy == "round_robin":
-            order = self._replicas[name]
-            start = self._rr_state[name]
-            for i in range(len(order)):
-                wid = order[(start + i) % len(order)]
-                if self.workers[wid].is_available(now):
-                    self._rr_state[name] = (start + i + 1) % len(order)
-                    return self.workers[wid]
             return None
         if self.policy == "cache_affinity":
             warm = [w for w in free if name in w.models_programmed]

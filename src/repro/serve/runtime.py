@@ -70,16 +70,7 @@ __all__ = [
     "ServiceModel",
     "ServingRuntime",
     "model_layer_shapes",
-    "infer_input_dim",
 ]
-
-
-def infer_input_dim(model: Sequential) -> int:
-    """Input feature width of the first Linear layer."""
-    for layer in model:
-        if isinstance(layer, Linear):
-            return layer.in_features
-    raise ValueError("model has no Linear layer to infer an input dim from")
 
 
 @dataclass(frozen=True)
@@ -97,9 +88,6 @@ class ModelProfile:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.slo_s is not None and not 0 < self.slo_s < math.inf:
             raise ValueError(f"slo_s must be finite and > 0, got {self.slo_s}")
-
-    def input_dim(self) -> int:
-        return infer_input_dim(self.model)
 
 
 class ServiceModel:
@@ -232,7 +220,6 @@ class Autoscaler:
         self.runtime = runtime
         self.policy = policy
         self.events: List[Dict[str, float]] = []
-        self.burn_alerts: List[Dict[str, object]] = []
         self._last_change: Dict[str, float] = {}
         self._rs: Dict[str, float] = {}
         self._rs_t: Dict[str, float] = {}
@@ -264,27 +251,14 @@ class Autoscaler:
         return sum(self._rs.values())
 
     # ------------------------------------------------------------------
-    def _decide(
-        self, name: str, now: float
-    ) -> Tuple[int, Dict[str, object]]:
-        """The decision plus the windowed evidence it was based on.
-
-        The evidence dict is what the tracer attaches to every
-        autoscale instant — a decision is only auditable with the p99,
-        SLO and queue depth the controller actually saw.
-        """
+    def _decide(self, name: str, now: float) -> int:
+        """The replica count ``name`` should have at ``now``."""
         rt, pol = self.runtime, self.policy
         cur = rt.pool.num_replicas(name)
         depth = rt.queue.pending(name)
         lat = rt.telemetry.latencies(model=name, since=now - pol.window_s)
         p99 = percentile(lat, 99) if lat else None
         slo = rt.profiles()[name].slo_s
-        evidence: Dict[str, object] = {
-            "p99_s": p99,
-            "slo_s": slo,
-            "queue_depth": depth,
-            "window_s": pol.window_s,
-        }
 
         # The pool is the hard ceiling: clamping here (not just inside
         # scale_to) keeps a saturated pool from emitting no-op scale
@@ -299,7 +273,7 @@ class Autoscaler:
             # Never *shrink* on the overload branch: if the deployment was
             # placed above the policy ceiling, retiring replicas exactly
             # when load spikes would be the opposite of the intent.
-            return max(cur, min(ceiling, max(cur + 1, by_queue))), evidence
+            return max(cur, min(ceiling, max(cur + 1, by_queue)))
 
         cooled = (
             now - self._last_change.get(name, 0.0)
@@ -308,16 +282,15 @@ class Autoscaler:
         tail_ok = slo is None or p99 is None or p99 < pol.slo_scale_down * slo
         queue_ok = depth <= pol.queue_low_per_replica * max(cur - 1, 1)
         if cur > pol.min_replicas and cooled and tail_ok and queue_ok:
-            return cur - 1, evidence
-        return max(cur, pol.min_replicas), evidence
+            return cur - 1
+        return max(cur, pol.min_replicas)
 
     def evaluate(self, now: float) -> List[Dict[str, float]]:
         """Run one control tick; returns the scaling actions taken."""
         actions: List[Dict[str, float]] = []
-        tracer = self.runtime.tracer
         for name in self.runtime.pool.model_names():
             cur = self.runtime.pool.num_replicas(name)
-            desired, evidence = self._decide(name, now)
+            desired = self._decide(name, now)
             if desired == cur:
                 continue
             self._account(name, now)
@@ -346,30 +319,10 @@ class Autoscaler:
             }
             self.events.append(action)
             actions.append(action)
-            if tracer is not None:
-                tracer.instant(
-                    "control",
-                    0,
-                    f"autoscale:{name}",
-                    now,
-                    args={**action, "evidence": evidence},
-                )
-        # Surface (never act on) any SLO error-budget burn alerts: the
-        # burn-rate monitors see the same clock the controller does, so
-        # every alert lands next to the decisions it indicts.
-        slo = self.runtime._slo
-        if slo is not None:
-            fired = slo.check(now)
-            self.burn_alerts.extend(fired)
-            if tracer is not None:
-                for alert in fired:
-                    tracer.instant(
-                        "control", 0, "slo_burn_alert", now, args=dict(alert)
-                    )
         return actions
 
     def summary(self) -> Dict[str, object]:
-        out = {
+        return {
             "events": [dict(e) for e in self.events],
             "num_scale_ups": sum(1 for e in self.events if e["to"] > e["from"]),
             "num_scale_downs": sum(
@@ -383,9 +336,6 @@ class Autoscaler:
                 for name in self.runtime.pool.model_names()
             },
         }
-        if self.burn_alerts:
-            out["burn_alerts"] = [dict(a) for a in self.burn_alerts]
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -409,10 +359,8 @@ class ServingRuntime:
         pool: ExecutorPool,
         policy: Optional[BatchPolicy] = None,
         queue_capacity: int = 256,
-        execute: bool = True,
         autoscaler: Optional[AutoscalerPolicy] = None,
         deadline_s: Optional[float] = None,
-        observability=None,
     ):
         if deadline_s is not None and not 0 < deadline_s < math.inf:
             raise ValueError(f"deadline_s must be finite and > 0, got {deadline_s}")
@@ -421,15 +369,7 @@ class ServingRuntime:
         self.queue = AdmissionQueue(queue_capacity)
         self.service = ServiceModel()
         self.clock = SimulatedClock()
-        self.obs = observability
-        registry = observability.registry if observability is not None else None
-        self.tracer = observability.tracer if observability is not None else None
-        self._slo = observability.slo if observability is not None else None
-        self.telemetry = Telemetry(registry=registry)
-        if self.tracer is not None:
-            pool.set_tracer(self.tracer)
-            self.batcher.tracer = self.tracer
-        self.execute = execute
+        self.telemetry = Telemetry()
         self.autoscaler = (
             Autoscaler(self, autoscaler) if autoscaler is not None else None
         )
@@ -439,10 +379,9 @@ class ServingRuntime:
         self._req_ids = itertools.count()
 
     # ------------------------------------------------------------------
-    def register_model(
-        self, profile: ModelProfile, prewarm: bool = True
-    ) -> List[int]:
-        """Place a model on the pool and register its latency profile.
+    def register_model(self, profile: ModelProfile) -> List[int]:
+        """Place a model on the pool (weights prewarmed) and register its
+        latency profile.
 
         Validates the profile eagerly (GEMM layers present, ``input_hw``
         given for conv models) so a bad profile fails here, not at the
@@ -462,9 +401,7 @@ class ServingRuntime:
         )
         self._profiles[profile.name] = profile
         self.service.register(profile)
-        return self.pool.place(
-            profile.name, profile.model, profile.replicas, prewarm=prewarm
-        )
+        return self.pool.place(profile.name, profile.model, profile.replicas)
 
     def profiles(self) -> Dict[str, ModelProfile]:
         return dict(self._profiles)
@@ -562,21 +499,8 @@ class ServingRuntime:
             request.deadline = now + self.deadline_s
         if not self.queue.offer(request):
             self.telemetry.record_rejection(request)
-            self._trace_terminal(request, "reject", now)
-        elif self.tracer is not None:
-            self.tracer.instant("request", request.request_id, "enqueue", now)
         for victim in self.queue.drain_evicted():
             self.telemetry.record_rejection(victim)
-            self._trace_terminal(victim, "evict", now)
-
-    def _trace_terminal(
-        self, request: InferenceRequest, kind: str, now: float
-    ) -> None:
-        """A request leaving without completing: instant + SLO miss."""
-        if self.tracer is not None:
-            self.tracer.instant("request", request.request_id, kind, now)
-        if self._slo is not None:
-            self._slo.observe(request.model, now, good=False)
 
     # ------------------------------------------------------------------
     def _drain(self, now: float, push) -> None:
@@ -589,7 +513,6 @@ class ServingRuntime:
         """
         for request in self.queue.expire(now):
             self.telemetry.record_timeout(request)
-            self._trace_terminal(request, "timeout", now)
         while True:
             dispatched = False
             # Snapshot: ready_model recomputes triggers after each pop;
@@ -615,55 +538,20 @@ class ServingRuntime:
         batch = self.batcher.take_batch(self.queue, model, now)
         for request in self.batcher.drain_expired():
             self.telemetry.record_timeout(request)
-            self._trace_terminal(request, "timeout", now)
         if not batch:
             return  # every popped request had expired
         service_s = self.service.batch_latency(model, len(batch))
-        profile = self._profiles[model]
-        if self.execute:
-            outputs = worker.run_batch(
-                model, profile.model, [r.x for r in batch], now, service_s
-            )
-        else:
-            outputs = None
-            worker.run_booking(model, len(batch), now, service_s)
+        outputs = worker.run_batch(
+            model, self._profiles[model].model, [r.x for r in batch], now, service_s
+        )
         done = now + service_s
-        # The index the record_batch call below will occupy — stamped on
-        # each request's service span so analysis can join a span back
-        # to its exact telemetry batch record.
-        dispatch_id = len(self.telemetry.batches)
-        span_args = {
-            "batch": len(batch),
-            "worker": worker.worker_id,
-            "dispatch": dispatch_id,
-        }
         for i, request in enumerate(batch):
             request.status = RequestStatus.DISPATCHED
             request.dispatch_time = now
             request.completion_time = done
             request.batch_size = len(batch)
             request.worker_id = worker.worker_id
-            if outputs is not None:
-                request.output = outputs[i]
-            if self.tracer is not None:
-                rid = request.request_id
-                self.tracer.span(
-                    "request",
-                    rid,
-                    "queue_wait",
-                    request.arrival_time,
-                    now,
-                    category="queue",
-                )
-                self.tracer.span(
-                    "request",
-                    rid,
-                    "service",
-                    now,
-                    done,
-                    category="service",
-                    args=span_args,
-                )
+            request.output = outputs[i]
         self.telemetry.record_batch(
             model, batch, worker.worker_id, now, service_s
         )
@@ -673,19 +561,6 @@ class ServingRuntime:
         for request in batch:
             request.status = RequestStatus.COMPLETED
             self.telemetry.record_completion(request)
-            done = request.completion_time
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "request", request.request_id, "retire", done
-                )
-            if self._slo is not None:
-                slo_s = self._profiles[request.model].slo_s
-                latency = done - request.arrival_time
-                self._slo.observe(
-                    request.model,
-                    done,
-                    good=slo_s is None or latency <= slo_s,
-                )
 
     # ------------------------------------------------------------------
     def report(self, scenario, slo_s: Optional[float] = None) -> Dict[str, object]:

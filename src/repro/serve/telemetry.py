@@ -66,16 +66,14 @@ class _BatchRecord:
 class Telemetry:
     """Accumulates serving events; reduces to a summary dict.
 
-    Every recording method also updates a typed
-    :class:`~repro.serve.observability.metrics.MetricsRegistry` (pass
-    one to share it with the tracer/SLO plane; a private registry is
-    created otherwise), so any run can be exported in Prometheus text
-    format and any gauge read as a streaming ``(t, value)`` series.
+    Every recording method also updates its own typed
+    :class:`~repro.serve.observability.metrics.MetricsRegistry`, so any
+    run can be exported in Prometheus text format and any gauge read as
+    a streaming ``(t, value)`` series.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        reg = self.registry
+    def __init__(self):
+        self.registry = reg = MetricsRegistry()
         self._m_completed = reg.counter(
             "serve_requests_completed_total",
             "Requests completed, by model and priority class",

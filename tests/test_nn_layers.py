@@ -7,7 +7,6 @@ import pytest
 
 from repro.nn import (
     BatchNorm2d,
-    Dropout,
     Embedding,
     Flatten,
     LayerNorm,
@@ -28,7 +27,7 @@ class TestModule:
         assert len(model.parameters()) == 4
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Linear(2, 2, rng=rng), Dropout(0.5))
+        model = Sequential(Linear(2, 2, rng=rng), BatchNorm2d(2))
         model.eval()
         assert not model.layers[1].training
         model.train()
@@ -89,26 +88,6 @@ class TestFlatten:
     def test_shape(self, rng):
         out = Flatten()(Tensor(rng.normal(size=(2, 3, 4, 5))))
         assert out.shape == (2, 60)
-
-
-class TestDropout:
-    def test_eval_is_identity(self, rng):
-        d = Dropout(0.7, rng=rng)
-        d.training = False
-        x = rng.normal(size=(10, 10))
-        assert np.array_equal(d(Tensor(x)).data, x)
-
-    def test_training_scales_survivors(self):
-        d = Dropout(0.5, rng=np.random.default_rng(0))
-        x = np.ones((100, 100))
-        out = d(Tensor(x)).data
-        survivors = out[out != 0]
-        assert np.allclose(survivors, 2.0)
-        assert 0.4 < (out != 0).mean() < 0.6
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestBatchNorm:

@@ -26,6 +26,7 @@ from repro.serve import (
     EngineConfig,
     ExecutorPool,
     FaultPlan,
+    HardwareAttributionProfiler,
     HealthPolicy,
     MetricsRegistry,
     Observability,
@@ -81,13 +82,12 @@ def decode_trace(n=12, spacing=1e-7, prompt=6, decode=8):
     return Scenario("decode", arrivals, n * spacing + 1e-9)
 
 
-def make_runtime(observability=None, autoscaler=None):
+def make_runtime(autoscaler=None):
     rt = ServingRuntime(
         ExecutorPool(3),
         BatchPolicy(max_batch_size=4, max_wait_s=0.0),
         deadline_s=1e-3,
         autoscaler=autoscaler,
-        observability=observability,
     )
     rt.register_model(
         ModelProfile("m", mlp(dim=64), replicas=2, slo_s=1e-3)
@@ -418,13 +418,8 @@ class TestEngineObservability:
 # Runtime integration
 # ----------------------------------------------------------------------
 class TestRuntimeObservability:
-    def run_traced(self):
-        obs = Observability(
-            tracing=True,
-            slo=SLOTracker(SLOSpec("latency", 0.9, default_windows(4e-7))),
-        )
+    def test_runtime_attribution_exact(self):
         rt = make_runtime(
-            observability=obs,
             autoscaler=AutoscalerPolicy(
                 interval_s=5e-8, window_s=2e-7, max_replicas=3
             ),
@@ -433,47 +428,11 @@ class TestRuntimeObservability:
             "m", on_rate=2e9, on_s=1.2e-7, off_s=8e-8, duration=4e-7, seed=3
         )
         rt.run(scenario, seed=0)
-        return obs, rt
-
-    def test_request_timelines_gap_free(self):
-        obs, rt = self.run_traced()
-        assert rt.telemetry.completed
-        for req in rt.telemetry.completed:
-            assert obs.tracer.gap_free(
-                req.request_id,
-                start=req.arrival_time,
-                end=req.completion_time,
-                track="request",
-            )
-
-    def test_autoscale_instants_carry_evidence(self):
-        obs, _ = self.run_traced()
-        decisions = [
-            i for i in obs.tracer.instants(track="control")
-            if i.name.startswith("autoscale:")
-        ]
-        assert decisions
-        evidence = decisions[0].args["evidence"]
-        assert set(evidence) == {"p99_s", "slo_s", "queue_depth", "window_s"}
-
-    def test_runtime_attribution_exact(self):
-        obs, rt = self.run_traced()
-        result = obs.profiler(rt.service.accelerator).attribute_runtime(
-            rt._profiles, rt.telemetry
-        )
+        result = HardwareAttributionProfiler(
+            rt.service.accelerator
+        ).attribute_runtime(rt._profiles, rt.telemetry)
         assert result["checked_spans"] == len(rt.telemetry.batches)
         assert result["max_abs_error_s"] == 0.0
-
-    def test_slo_monitor_counts_completions(self):
-        obs, rt = self.run_traced()
-        events = sum(m.total for m in obs.slo.monitors.values())
-        terminal = (
-            len(rt.telemetry.completed)
-            + rt.telemetry.rejected
-            + rt.telemetry.timeouts
-            + rt.telemetry.failed
-        )
-        assert events == terminal
 
 
 # ----------------------------------------------------------------------

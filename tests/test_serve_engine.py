@@ -462,16 +462,6 @@ class TestEngineScheduling:
             if record.batch == 1 and record.context_lens[0] > 4:
                 assert record.prefill_chunks == ()
 
-    def test_booking_mode_matches_continuous_timing(self):
-        sc = session_scenario([(0.0, 0, 3, 4), (0.0, 0, 2, 3), (1e-8, 0, 4, 2)])
-        functional = make_engine(max_batch_size=4)
-        booked = make_engine(max_batch_size=4, execute=False)
-        t1 = functional.run(sc, seed=1)
-        t2 = booked.run(sc, seed=1)
-        for a, b in zip(t1.sessions, t2.sessions):
-            assert a.finish_time == b.finish_time
-            assert b.outputs == []  # booking mode skips functional exec
-
     def test_worker_token_accounting(self):
         engine = make_engine(max_batch_size=4)
         sc = session_scenario([(0.0, 0, 2, 5), (0.0, 0, 2, 3)])

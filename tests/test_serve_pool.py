@@ -14,6 +14,12 @@ def mlp(seed=0, d_in=8, hidden=16, d_out=4):
     )
 
 
+def forget(pool, *wids, name="a"):
+    """Mark replicas cold: ``place`` prewarms every replica it assigns."""
+    for wid in wids:
+        pool.workers[wid].models_programmed.discard(name)
+
+
 class TestPlacement:
     def test_replicas_spread_round_robin(self):
         pool = ExecutorPool(4)
@@ -27,7 +33,7 @@ class TestPlacement:
 
     def test_prewarm_programs_all_replicas(self):
         pool = ExecutorPool(2)
-        pool.place("a", mlp(0), replicas=2, prewarm=True)
+        pool.place("a", mlp(0), replicas=2)
         for wid in pool.replicas("a"):
             info = pool.workers[wid].executor.cache_info()
             assert info["size"] == 2  # two Linear layers
@@ -41,25 +47,10 @@ class TestPlacement:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             ExecutorPool(1, policy="random")
-        assert set(ROUTING_POLICIES) == {
-            "round_robin", "least_loaded", "cache_affinity"
-        }
+        assert set(ROUTING_POLICIES) == {"least_loaded", "cache_affinity"}
 
 
 class TestRouting:
-    def test_round_robin_cycles_free_replicas(self):
-        pool = ExecutorPool(3, policy="round_robin")
-        pool.place("a", mlp(0), replicas=3)
-        picks = [pool.route("a", 0.0).worker_id for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_round_robin_skips_busy(self):
-        pool = ExecutorPool(2, policy="round_robin")
-        pool.place("a", mlp(0), replicas=2)
-        pool.workers[0].busy_until = 10.0
-        assert pool.route("a", 0.0).worker_id == 1
-        assert pool.route("a", 0.0).worker_id == 1
-
     def test_least_loaded_prefers_idle_history(self):
         pool = ExecutorPool(2, policy="least_loaded")
         pool.place("a", mlp(0), replicas=2)
@@ -78,15 +69,15 @@ class TestRouting:
     def test_cache_affinity_prefers_warm_worker(self):
         pool = ExecutorPool(2, policy="cache_affinity")
         pool.place("a", mlp(0), replicas=2)
-        # Worker 1 has served the model; worker 0 is colder but less loaded.
-        pool.workers[1].models_programmed.add("a")
+        # Worker 1 has served the model; worker 0 is cold but less loaded.
+        forget(pool, 0)
         pool.workers[1].busy_time = 3.0
         assert pool.route("a", 0.0).worker_id == 1
 
     def test_cache_affinity_falls_back_when_warm_busy(self):
         pool = ExecutorPool(2, policy="cache_affinity")
         pool.place("a", mlp(0), replicas=2)
-        pool.workers[1].models_programmed.add("a")
+        forget(pool, 0)
         pool.workers[1].busy_until = 1.0
         assert pool.route("a", 0.0).worker_id == 0
 
@@ -116,7 +107,7 @@ class TestTimeTolerance:
 class TestScaleTo:
     def test_scale_up_adds_prewarmed_workers(self):
         pool = ExecutorPool(4)
-        pool.place("a", mlp(0), replicas=1, prewarm=True)
+        pool.place("a", mlp(0), replicas=1)
         delta = pool.scale_to("a", 3, now=1.0, prewarm_latency_s=0.5)
         assert pool.num_replicas("a") == 3
         assert len(delta["added"]) == 2 and not delta["removed"]
@@ -129,7 +120,7 @@ class TestScaleTo:
 
     def test_scale_up_warm_rejoin_is_free(self):
         pool = ExecutorPool(2)
-        pool.place("a", mlp(0), replicas=2, prewarm=True)
+        pool.place("a", mlp(0), replicas=2)
         pool.scale_to("a", 1, now=0.0)
         delta = pool.scale_to("a", 2, now=5.0, prewarm_latency_s=0.7)
         (wid,) = delta["added"]
@@ -140,7 +131,7 @@ class TestScaleTo:
 
     def test_scale_down_drains_before_retire(self):
         pool = ExecutorPool(3)
-        pool.place("a", mlp(0), replicas=3, prewarm=True)
+        pool.place("a", mlp(0), replicas=3)
         victim = pool.replicas("a")[-1]
         pool.workers[victim].busy_until = 9.0  # mid-batch
         delta = pool.scale_to("a", 1, now=0.0)
@@ -162,20 +153,11 @@ class TestScaleTo:
         with pytest.raises(KeyError):
             pool.scale_to("ghost", 2, now=0.0)
 
-    def test_round_robin_state_survives_scale_down(self):
-        pool = ExecutorPool(3, policy="round_robin")
-        pool.place("a", mlp(0), replicas=3)
-        for _ in range(5):
-            pool.route("a", 0.0)
-        pool.scale_to("a", 1, now=0.0)
-        assert pool.route("a", 0.0).worker_id == pool.replicas("a")[0]
-
-
 class TestExecutionAndStats:
     def test_run_batch_outputs_and_booking(self):
         pool = ExecutorPool(1)
         model = mlp(3)
-        pool.place("a", model, prewarm=True)
+        pool.place("a", model)
         worker = pool.workers[0]
         xs = [np.random.default_rng(i).standard_normal(8) for i in range(4)]
         out = worker.run_batch("a", model, xs, now=1.0, service_s=0.5)
@@ -188,19 +170,18 @@ class TestExecutionAndStats:
 
     def test_per_worker_caches_are_isolated(self):
         pool = ExecutorPool(2)
-        model = mlp(4)
-        pool.place("a", model, replicas=2, prewarm=False)
-        xs = [np.zeros(8)]
-        pool.workers[0].run_batch("a", model, xs, 0.0, 0.1)
+        pool.place("a", mlp(4), replicas=2)
+        other = mlp(5)
+        pool.workers[0].run_batch("b", other, [np.zeros(8)], 0.0, 0.1)
         info0 = pool.workers[0].executor.cache_info()
         info1 = pool.workers[1].executor.cache_info()
-        assert info0["size"] == 2
-        assert info1["size"] == 0
+        assert info0["size"] == 4  # "a" prewarmed plus "b" programmed
+        assert info1["size"] == 2
 
     def test_cache_stats_aggregate(self):
         pool = ExecutorPool(2)
         model = mlp(5)
-        pool.place("a", model, replicas=1, prewarm=True)
+        pool.place("a", model, replicas=1)
         wid = pool.replicas("a")[0]
         pool.workers[wid].run_batch("a", model, [np.zeros(8)], 0.0, 0.1)
         stats = pool.cache_stats()
@@ -232,6 +213,7 @@ class TestCacheAffinityTieBreaking:
         pool = ExecutorPool(3, policy="cache_affinity")
         pool.place("a", mlp(0), replicas=3)
         # No warm replica at all: fall back to least-loaded among cold.
+        forget(pool, 0, 1, 2)
         pool.workers[0].busy_time = 3.0
         pool.workers[1].busy_time = 1.0
         pool.workers[2].busy_time = 2.0
@@ -240,7 +222,7 @@ class TestCacheAffinityTieBreaking:
     def test_single_warm_wins_over_less_loaded_cold(self):
         pool = ExecutorPool(3, policy="cache_affinity")
         pool.place("a", mlp(0), replicas=3)
-        pool.workers[2].models_programmed.add("a")
+        forget(pool, 0, 1)
         pool.workers[2].busy_time = 9.0
         assert pool.route("a", 0.0).worker_id == 2
 
@@ -249,7 +231,7 @@ class TestWorkerStatsUnderChurn:
     def test_retired_worker_keeps_lifetime_stats(self):
         pool = ExecutorPool(3)
         model = mlp(0)
-        pool.place("a", model, replicas=3, prewarm=True)
+        pool.place("a", model, replicas=3)
         for wid in pool.replicas("a"):
             pool.workers[wid].run_batch(
                 "a", model, [np.zeros(8)], 0.0, 0.1, tokens=1
@@ -266,7 +248,7 @@ class TestWorkerStatsUnderChurn:
 
     def test_cold_scale_up_charges_busy_time_in_stats(self):
         pool = ExecutorPool(2)
-        pool.place("a", mlp(0), replicas=1, prewarm=True)
+        pool.place("a", mlp(0), replicas=1)
         delta = pool.scale_to("a", 2, now=1.0, prewarm_latency_s=0.25)
         (cold,) = delta["cold"]
         stats = {s["worker_id"]: s for s in pool.worker_stats()}
@@ -276,7 +258,7 @@ class TestWorkerStatsUnderChurn:
     def test_stats_accumulate_across_scale_cycles(self):
         pool = ExecutorPool(2)
         model = mlp(0)
-        pool.place("a", model, replicas=2, prewarm=True)
+        pool.place("a", model, replicas=2)
         pool.workers[1].run_batch("a", model, [np.zeros(8)], 0.0, 0.1, tokens=2)
         pool.scale_to("a", 1, now=0.2)  # retire worker 1
         pool.scale_to("a", 2, now=0.4)  # warm rejoin, no prewarm charge
@@ -299,7 +281,7 @@ class TestHealthAwareScaling:
 
     def test_scale_down_retires_suspect_before_healthy(self):
         pool = ExecutorPool(3)
-        pool.place("a", mlp(0), replicas=3, prewarm=True)
+        pool.place("a", mlp(0), replicas=3)
         first = pool.replicas("a")[0]
         pool.workers[first].health = "suspect"
         delta = pool.scale_to("a", 2, now=0.0)
@@ -311,7 +293,7 @@ class TestHealthAwareScaling:
 
     def test_scale_down_retires_dead_before_suspect(self):
         pool = ExecutorPool(4)
-        pool.place("a", mlp(0), replicas=4, prewarm=True)
+        pool.place("a", mlp(0), replicas=4)
         wids = pool.replicas("a")
         pool.workers[wids[0]].health = "suspect"
         pool.crash(wids[1], now=0.0)
@@ -323,7 +305,7 @@ class TestHealthAwareScaling:
         # booked window when retired (the in-flight batch finishes or
         # times out on its own clock), it just stops receiving work.
         pool = ExecutorPool(2)
-        pool.place("a", mlp(0), replicas=2, prewarm=True)
+        pool.place("a", mlp(0), replicas=2)
         victim = pool.replicas("a")[0]
         pool.workers[victim].health = "suspect"
         pool.workers[victim].busy_until = 7.0
@@ -333,7 +315,7 @@ class TestHealthAwareScaling:
 
     def test_scale_up_never_adds_dead_or_unresponsive_workers(self):
         pool = ExecutorPool(3)
-        pool.place("a", mlp(0), replicas=1, prewarm=True)
+        pool.place("a", mlp(0), replicas=1)
         spare = [w.worker_id for w in pool.workers if w.worker_id not in pool.replicas("a")]
         pool.crash(spare[0], now=0.0)
         delta = pool.scale_to("a", 3, now=1.0)
@@ -344,7 +326,7 @@ class TestHealthAwareScaling:
     def test_replace_worker_refuses_live_and_swaps_dead(self):
         pool = ExecutorPool(2)
         model = mlp(0)
-        pool.place("a", model, replicas=2, prewarm=True)
+        pool.place("a", model, replicas=2)
         with pytest.raises(ValueError):
             pool.replace_worker(0, now=1.0)
         pool.crash(0, now=1.0)
@@ -362,7 +344,7 @@ class TestHealthAwareScaling:
 
     def test_replace_worker_accepts_per_model_charge_callable(self):
         pool = ExecutorPool(1)
-        pool.place("a", mlp(0), replicas=1, prewarm=True)
+        pool.place("a", mlp(0), replicas=1)
         pool.crash(0, now=0.0)
         new_wid = pool.replace_worker(
             0, now=1.0, prewarm_latency_s=lambda name: {"a": 0.25}[name]
@@ -373,7 +355,7 @@ class TestHealthAwareScaling:
     def test_ledgers_consistent_through_crash_and_replace(self):
         pool = ExecutorPool(2)
         model = mlp(0)
-        pool.place("a", model, replicas=2, prewarm=True)
+        pool.place("a", model, replicas=2)
         pool.workers[0].run_batch("a", model, [np.zeros(8)], 0.0, 0.1, tokens=2)
         pool.workers[1].run_batch("a", model, [np.zeros(8)], 0.0, 0.1, tokens=3)
         pool.crash(0, now=0.2)
@@ -396,7 +378,7 @@ class TestHealthAwareScaling:
 
     def test_routing_and_resolution_skip_crashed_workers(self):
         pool = ExecutorPool(3)
-        pool.place("a", mlp(0), replicas=3, prewarm=True)
+        pool.place("a", mlp(0), replicas=3)
         pool.crash(1, now=0.0)
         for _ in range(6):
             assert pool.route("a", 1.0).worker_id != 1

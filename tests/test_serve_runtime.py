@@ -446,9 +446,7 @@ class TestRuntimeEndToEnd:
         # deadline already passed; "b"'s own worker idles.  "b" must
         # launch at its own deadline, not when "a"'s worker frees.
         pool = ExecutorPool(2)
-        rt = ServingRuntime(
-            pool, BatchPolicy(max_batch_size=2, max_wait_s=1e-7), execute=False
-        )
+        rt = ServingRuntime(pool, BatchPolicy(max_batch_size=2, max_wait_s=1e-7))
         rt.register_model(ModelProfile("a", stack((512, 512, 512)), replicas=1))
         rt.register_model(ModelProfile("b", mlp(1), replicas=1))
         arrivals = ((0.0, "a"), (0.0, "a"), (1e-9, "a"), (1e-9, "a"), (2e-9, "b"))
@@ -461,9 +459,7 @@ class TestRuntimeEndToEnd:
     def test_queue_depth_mean_obeys_littles_law(self):
         # Fault-free with nothing shed: the time-weighted mean depth over
         # the horizon, times the horizon, is the total time queued.
-        rt = make_runtime(
-            max_batch=8, max_wait=1e-7, capacity=256, execute=False
-        )
+        rt = make_runtime(max_batch=8, max_wait=1e-7, capacity=256)
         scen = poisson_scenario("m0", rate=5e8, duration=2e-6, seed=21)
         tel = rt.run(scen, seed=0)
         report = rt.report(scen)
@@ -499,7 +495,6 @@ class TestRuntimeEndToEnd:
                 ExecutorPool(4, policy="cache_affinity"),
                 BatchPolicy(max_batch_size=32, max_wait_s=2e-7),
                 queue_capacity=256,
-                execute=False,
             )
             for i, (name, d) in enumerate(dims.items()):
                 rt.register_model(ModelProfile(name, stack(d, i), replicas=4))
